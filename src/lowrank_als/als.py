@@ -5,12 +5,14 @@ squares minimizer of ||S T - A||; with T fixed, S is the minimizer of the same
 residual.  A handful of such sweeps from a Gaussian S_0 already yields a nearly
 optimal rank-k approximation; no convergence test is performed anywhere.
 
-Two modes are provided.  The default, "stabilized", re-orthonormalizes S after
-every S-update; this preserves the column space (which is all the final
-approximation depends on) while keeping iterates well conditioned.  "raw"
-follows the textbook updates verbatim and exists to exercise the unrolled
-recurrence at small iteration counts, where the implicit powers of A A* are
-still representable.
+col(S_i) = col((A A*)^i S_0), so the final approximation depends on S only
+through its column space.  The iteration therefore keeps S orthonormal: each
+T-update is T = S* A, and each S-update orthonormalizes A Q, where the columns
+of Q are an orthonormal basis of col(T*).  A T^+ = A Q R^{-*} spans the same
+columns, so this is the least-squares S-update up to a change of basis.  A is
+validated once, by als_init, and used as given by both half-steps.  The
+textbook iterates without re-orthonormalization live in verify.py, as the
+reference for the unrolled recurrence.
 """
 
 from __future__ import annotations
@@ -23,18 +25,15 @@ import numpy as np
 
 from . import io
 from .matrix import (
+    adjoint,
     as_matrix,
     frobenius_norm,
     gaussian_matrix,
-    lstsq_solve,
-    lstsq_solve_right,
     orthonormal_basis,
     small_svd,
     DENSE_SVD_BUDGET,
 )
 from .spectral import DEFAULT_POWER_SEED, power_method_norm, residual_operator
-
-RAW_ITERATION_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,7 @@ class AlsConfig:
     rank_k: int
     iterations_j: int
     seed: int
-    mode: str = "stabilized"
     track_errors: bool = False
-    raw_iteration_cap: int = RAW_ITERATION_CAP
-    acknowledge_raw_risk: bool = False
-    allow_rank_deficient: bool = False
 
 
 @dataclass(frozen=True)
@@ -58,12 +53,17 @@ class Factorization:
     t: np.ndarray
     iterations_j: int
     seed: int
-    mode: str = "stabilized"
     frobenius_error_trace: list[float] | None = None
 
 
 @dataclass
 class AlsState:
+    """Iterate of the ALS loop over the validated matrix ``a``.
+
+    ``s`` always has orthonormal columns (at most rank_k of them: fewer when
+    rank(A) < rank_k); als_update_t relies on this to compute T = S* A.
+    """
+
     a: np.ndarray
     config: AlsConfig
     s: np.ndarray
@@ -77,62 +77,48 @@ def _validate(config: AlsConfig, shape) -> None:
         raise ValueError(f"rank_k={config.rank_k} must lie in [1, {min(m, n)}] for shape {shape}")
     if config.iterations_j < 0:
         raise ValueError("iterations_j must be nonnegative")
-    if config.mode not in ("stabilized", "raw"):
-        raise ValueError(f"unknown mode {config.mode!r}")
-    if (
-        config.mode == "raw"
-        and config.iterations_j > config.raw_iteration_cap
-        and not config.acknowledge_raw_risk
-    ):
-        raise ValueError(
-            f"raw mode with iterations_j={config.iterations_j} exceeds the cap "
-            f"{config.raw_iteration_cap}; iterates contain high powers of A A* and may "
-            "overflow (set acknowledge_raw_risk to proceed)"
-        )
 
 
 def als_init(a, config: AlsConfig) -> AlsState:
-    """Draw the random start S_0 (orthonormalized in stabilized mode).
+    """Validate A and draw the orthonormalized random start S_0.
 
-    S_0 = A @ Omega with Omega an i.i.d. standard-normal n-by-k matrix: the
-    classical randomized range sketch.  An ambient Gaussian S_0 (not passed
-    through A) would make the zero-iteration baseline approximation useless,
-    with error near ||A||; sketching through A gives the familiar
-    random-projection baseline that the iteration then refines.  Everything
-    downstream depends on S_0 only through its column space.
+    S_0 spans col(A @ Omega) with Omega an i.i.d. standard-normal n-by-k
+    matrix: the classical randomized range sketch.  An ambient Gaussian S_0
+    (not passed through A) would make the zero-iteration baseline
+    approximation useless, with error near ||A||; sketching through A gives the
+    familiar random-projection baseline that the iteration then refines.
+    Raises ValueError when the sketch has numerical rank 0 (A is zero to
+    working precision).
     """
     a = as_matrix(a)
     _validate(config, a.shape)
     fld = "complex" if np.iscomplexobj(a) else "real"
-    s0 = a @ gaussian_matrix(a.shape[1], config.rank_k, config.seed, fld)
-    if config.mode == "stabilized":
-        s0 = orthonormal_basis(s0)
+    s0 = orthonormal_basis(a @ gaussian_matrix(a.shape[1], config.rank_k, config.seed, fld))
+    if s0.shape[1] == 0:
+        raise ValueError("the sketch A @ Omega has numerical rank 0; A is zero to working precision")
     return AlsState(a=a, config=config, s=s0)
 
 
 def als_update_t(state: AlsState) -> AlsState:
-    """Half-step: T <- argmin ||S T - A||, S fixed."""
-    cfg = state.config
-    state.t = lstsq_solve(state.s, state.a, rank_deficient_ok=cfg.allow_rank_deficient)
-    if cfg.track_errors:
+    """Half-step: T <- argmin ||S T - A||, S fixed; T = S* A as S is orthonormal."""
+    state.t = adjoint(state.s) @ state.a
+    if state.config.track_errors:
         state.error_trace.append(frobenius_norm(state.s @ state.t - state.a))
     return state
 
 
 def als_update_s(state: AlsState) -> AlsState:
-    """Half-step: S <- argmin ||S T - A||, T fixed (re-orthonormalized when stabilized).
+    """Half-step: S <- argmin ||S T - A||, T fixed, returned orthonormalized.
 
-    The tracked residual uses the minimizing S before re-orthonormalization;
-    the orthonormal replacement spans the same columns, so the subsequent
-    T-update is unaffected.
+    The minimizer A T^+ has the columns of A Q, Q an orthonormal basis of
+    col(T*).  The tracked residual is that of the minimizer,
+    ||A Q Q* - A||.
     """
-    cfg = state.config
-    s_new = lstsq_solve_right(state.t, state.a, rank_deficient_ok=cfg.allow_rank_deficient)
-    if cfg.track_errors:
-        state.error_trace.append(frobenius_norm(s_new @ state.t - state.a))
-    if cfg.mode == "stabilized":
-        s_new = orthonormal_basis(s_new)
-    state.s = s_new
+    q = orthonormal_basis(adjoint(state.t))
+    aq = state.a @ q
+    if state.config.track_errors:
+        state.error_trace.append(frobenius_norm(aq @ adjoint(q) - state.a))
+    state.s = orthonormal_basis(aq)
     return state
 
 
@@ -152,7 +138,6 @@ def als_run(a, config: AlsConfig) -> Factorization:
         t=state.t,
         iterations_j=config.iterations_j,
         seed=config.seed,
-        mode=config.mode,
         frobenius_error_trace=list(state.error_trace) if config.track_errors else None,
     )
 
@@ -197,7 +182,6 @@ def save_factorization(directory, factorization: Factorization) -> None:
         "rank_k": int(factorization.s.shape[1]),
         "iterations_j": int(factorization.iterations_j),
         "seed": int(factorization.seed),
-        "mode": factorization.mode,
         "error_trace": factorization.frobenius_error_trace,
     }
     with open(os.path.join(directory, "factorization.json"), "w") as f:
@@ -205,15 +189,24 @@ def save_factorization(directory, factorization: Factorization) -> None:
 
 
 def load_factorization(directory) -> Factorization:
+    """Read a factorization written by save_factorization.
+
+    Raises ValueError when the ranks of S, T and the sidecar disagree.  Keys
+    of the sidecar other than those read here are ignored.
+    """
     s = io.load_matrix(os.path.join(directory, "s.alsm"))
     t = io.load_matrix(os.path.join(directory, "t.alsm"))
     with open(os.path.join(directory, "factorization.json")) as f:
         meta = json.load(f)
+    if not s.shape[1] == t.shape[0] == meta["rank_k"]:
+        raise ValueError(
+            f"{directory}: S is {s.shape}, T is {t.shape} and the sidecar says "
+            f"rank_k={meta['rank_k']}"
+        )
     return Factorization(
         s=s,
         t=t,
         iterations_j=meta["iterations_j"],
         seed=meta["seed"],
-        mode=meta.get("mode", "stabilized"),
         frobenius_error_trace=meta.get("error_trace"),
     )

@@ -8,10 +8,12 @@ measurement excluded).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import statistics
 import time
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
 
 from .als import AlsConfig, als_run
 from .spectral import DEFAULT_POWER_SEED, power_method_norm, residual_operator
@@ -33,19 +35,6 @@ class ExperimentRecord:
     seed: int
     epsilon: float
     t_seconds: float
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "transform": self.transform,
-            "k": self.k,
-            "delta": self.delta,
-            "j": self.j,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "t_seconds": self.t_seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -119,30 +108,25 @@ def run_suite(config: SuiteConfig):
     The test matrix for a spec is built once and reused across its cells.
     Per-cell failures are recorded in the summary and the suite continues.
     """
-    _validate_suite(config)
-    limiter = _thread_limiter(config.serial)
+    specs = _validate_suite(config)
     records: list[ExperimentRecord] = []
     failures: list[dict] = []
-    with limiter:
-        for m, n in config.sizes:
-            for k, delta in config.rank_deltas:
-                spec = TestMatrixSpec(
-                    m, n, k, delta, transform=config.transform, seed=config.matrix_seed
-                )
-                try:
-                    a = build_test_matrix(spec)
-                except Exception as exc:  # noqa: BLE001 - recorded, suite continues
-                    failures.append({"spec": spec.to_json(), "error": str(exc)})
-                    continue
-                for j in config.iteration_counts:
-                    for seed in config.seeds:
-                        try:
-                            records.append(run_cell(spec, j, seed, a=a))
-                        except Exception as exc:  # noqa: BLE001
-                            failures.append(
-                                {"spec": spec.to_json(), "j": j, "seed": seed, "error": str(exc)}
-                            )
-                del a
+    with _thread_limiter(config.serial):
+        for spec in specs:
+            try:
+                a = build_test_matrix(spec)
+            except Exception as exc:  # noqa: BLE001 - recorded, suite continues
+                failures.append({"spec": spec.to_json(), "error": str(exc)})
+                continue
+            for j in config.iteration_counts:
+                for seed in config.seeds:
+                    try:
+                        records.append(run_cell(spec, j, seed, a=a))
+                    except Exception as exc:  # noqa: BLE001
+                        failures.append(
+                            {"spec": spec.to_json(), "j": j, "seed": seed, "error": str(exc)}
+                        )
+            del a
     summary = summarize(records, failures)
     if config.out:
         if config.fmt == "csv":
@@ -152,23 +136,20 @@ def run_suite(config: SuiteConfig):
     return records, summary
 
 
-class _NullContext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _thread_limiter(serial: bool):
+    """Context pinning BLAS to one thread when ``serial``; warns if it cannot."""
     if not serial:
-        return _NullContext()
+        return contextlib.nullcontext()
     try:
         from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=1)
     except ImportError:
-        return _NullContext()
+        warnings.warn(
+            "threadpoolctl is not installed, so BLAS threads were not pinned for the serial run",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return contextlib.nullcontext()
+    return threadpool_limits(limits=1)
 
 
 def summarize(records: list[ExperimentRecord], failures: list[dict]) -> dict:
@@ -204,7 +185,7 @@ def write_csv(path, records: list[ExperimentRecord]) -> None:
 
 
 def write_json(path, records: list[ExperimentRecord], summary: dict | None = None) -> None:
-    payload = {"records": [rec.as_dict() for rec in records]}
+    payload = {"records": [asdict(rec) for rec in records]}
     if summary is not None:
         payload["summary"] = summary
     with open(path, "w") as f:

@@ -44,8 +44,11 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: bad field tag {tag}")
         dtype = "<c16" if tag else "<f8"
         data = np.fromfile(f, dtype=dtype, count=rows * cols)
+        trailing = f.read(1)
     if data.size != rows * cols:
         raise ValueError(f"{path}: truncated payload")
+    if trailing:
+        raise ValueError(f"{path}: trailing bytes after the payload")
     return data.astype(np.complex128 if tag else np.float64).reshape(rows, cols)
 
 

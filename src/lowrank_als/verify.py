@@ -42,7 +42,7 @@ def check_column_space_theorem(instances: int = 20, max_power: int = 3, tol: flo
     worst = 0.0
     for idx in range(instances):
         a = gaussian_matrix(8, 6, seed=1000 + idx)
-        cfg = AlsConfig(rank_k=2, iterations_j=max_power, seed=idx, mode="stabilized")
+        cfg = AlsConfig(rank_k=2, iterations_j=max_power, seed=idx)
         state = als_init(a, cfg)
         reference = state.s.copy()
         aat = a @ adjoint(a)
@@ -112,6 +112,22 @@ def _conditioned_instance(m: int, n: int, seed: int, condition: float = 10.0) ->
     return u[:, :r] @ (d[:, None] * v[:r, :])
 
 
+def _raw_iterates(a: np.ndarray, k: int, iterations: int, seed: int) -> list[np.ndarray]:
+    """Textbook ALS iterates S_0, ..., S_iterations, never re-orthonormalized.
+
+    S_0 = A Omega with the same Gaussian draw as als_init; then
+    T_i = argmin ||S_i T - A|| and S_{i+1} = argmin ||S T_i - A||.  The
+    iterates carry the powers (A A*)^i unscaled, so keep ``iterations`` small.
+    """
+    fld = "complex" if np.iscomplexobj(a) else "real"
+    s = a @ gaussian_matrix(a.shape[1], k, seed, fld)
+    iterates = [s]
+    for _ in range(iterations):
+        s = lstsq_solve_right(lstsq_solve(s, a), a)
+        iterates.append(s)
+    return iterates
+
+
 def check_unrolled_recurrence(instances: int = 20, max_power: int = 3, tol: float = 1e-8):
     """Raw iterates satisfy S_i = (A A*)^i S_0 B_0 ... B_{i-1} with
     B_i = (S_i* A A* S_i)^{-1} S_i* S_i, on condition-bounded instances."""
@@ -119,13 +135,7 @@ def check_unrolled_recurrence(instances: int = 20, max_power: int = 3, tol: floa
     for idx in range(instances):
         a = _conditioned_instance(8, 6, seed=4000 + idx)
         aat = a @ adjoint(a)
-        cfg = AlsConfig(rank_k=2, iterations_j=max_power, seed=idx, mode="raw")
-        state = als_init(a, cfg)
-        s_raw = [state.s.copy()]
-        for _ in range(max_power):
-            als_update_t(state)
-            als_update_s(state)
-            s_raw.append(state.s.copy())
+        s_raw = _raw_iterates(a, k=2, iterations=max_power, seed=idx)
         product = np.eye(2)
         power = s_raw[0]
         for i in range(1, max_power + 1):

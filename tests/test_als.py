@@ -11,12 +11,13 @@ from lowrank_als.als import (
     load_factorization,
     save_factorization,
 )
+from lowrank_als.io import save_matrix
 from lowrank_als.matrix import (
     adjoint,
     frobenius_norm,
     gaussian_matrix,
-    householder_qr,
     numerical_rank,
+    projector,
     small_svd,
 )
 
@@ -34,21 +35,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             als_init(a, AlsConfig(rank_k=2, iterations_j=-1, seed=0))
 
-    def test_raw_mode_cap(self):
-        a = gaussian_matrix(8, 6, seed=0)
-        with pytest.raises(ValueError, match="raw"):
-            als_init(a, AlsConfig(rank_k=2, iterations_j=5, seed=0, mode="raw"))
-        # Acknowledging the risk lifts the cap.
-        als_init(
-            a,
-            AlsConfig(rank_k=2, iterations_j=5, seed=0, mode="raw", acknowledge_raw_risk=True),
-        )
-
-    def test_unknown_mode(self):
-        a = gaussian_matrix(8, 6, seed=0)
-        with pytest.raises(ValueError):
-            als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, mode="chaotic"))
-
 
 class TestInit:
     def test_start_shape_and_rank(self):
@@ -64,60 +50,35 @@ class TestInit:
 
     def test_stabilized_start_is_orthonormal(self):
         a = gaussian_matrix(8, 6, seed=3)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=1, mode="stabilized"))
+        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=1))
         assert frobenius_norm(adjoint(state.s) @ state.s - np.eye(2)) <= 1e-12
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_zero_matrix_rejected(self, j):
+        with pytest.raises(ValueError, match="rank 0"):
+            als_run(np.zeros((5, 4)), AlsConfig(rank_k=2, iterations_j=j, seed=0))
 
 
 class TestHalfSteps:
     def test_t_update_with_orthonormal_s(self):
         a = gaussian_matrix(6, 4, seed=2)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, mode="stabilized"))
+        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0))
         als_update_t(state)
         assert np.allclose(state.t, adjoint(state.s) @ a, atol=1e-12)
 
-    def test_t_update_exact_when_representable(self):
-        s = gaussian_matrix(6, 2, seed=1)
-        x = gaussian_matrix(2, 4, seed=2)
-        a = s @ x
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, mode="raw"))
-        state.s = s
-        als_update_t(state)
-        assert frobenius_norm(s @ state.t - a) <= 1e-12 * frobenius_norm(a)
-
-    def test_t_update_matches_normal_equations(self):
-        a = gaussian_matrix(6, 4, seed=3)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=3, mode="raw"))
-        als_update_t(state)
-        want = normal_equations_solve(state.s, a)
-        assert frobenius_norm(state.t - want) <= 1e-12 * frobenius_norm(want)
-
-    def test_s_update_with_orthonormal_t_rows(self):
+    def test_s_update_spans_minimizer_columns(self):
+        # The orthonormal S spans col(A T^+), and the tracked residual is the
+        # minimizer's, checked against the normal-equations oracle.
         a = gaussian_matrix(6, 4, seed=4)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, mode="raw"))
-        state.t = adjoint(householder_qr(gaussian_matrix(4, 2, seed=5)).q)
-        als_update_s(state)
-        assert np.allclose(state.s, a @ adjoint(state.t), atol=1e-12)
-
-    def test_s_update_exact_when_representable(self):
-        t = gaussian_matrix(2, 4, seed=6)
-        x = gaussian_matrix(6, 2, seed=7)
-        a = x @ t
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, mode="raw"))
-        state.t = t
-        als_update_s(state)
-        assert frobenius_norm(state.s @ t - a) <= 1e-12 * frobenius_norm(a)
-
-    def test_first_s_update_matches_unrolled_formula(self):
-        # S_1 = A A* S_0 B_0 with B_0 = (S_0* A A* S_0)^{-1} S_0* S_0.
-        a = gaussian_matrix(6, 4, seed=3)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=8, mode="raw"))
-        s0 = state.s.copy()
+        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, track_errors=True))
         als_update_t(state)
+        t = state.t
         als_update_s(state)
-        aat = a @ adjoint(a)
-        b0 = np.linalg.solve(adjoint(s0) @ aat @ s0, adjoint(s0) @ s0)
-        want = aat @ s0 @ b0
-        assert frobenius_norm(state.s - want) <= 1e-10 * frobenius_norm(want)
+        s_min = adjoint(normal_equations_solve(adjoint(t), adjoint(a)))
+        assert frobenius_norm(adjoint(state.s) @ state.s - np.eye(2)) <= 1e-12
+        assert frobenius_norm(projector(state.s) - projector(s_min)) <= 1e-12
+        want = frobenius_norm(s_min @ t - a)
+        assert abs(state.error_trace[-1] - want) <= 1e-12 * frobenius_norm(a)
 
 
 class TestRun:
@@ -187,12 +148,12 @@ class TestRun:
         assert sigma[2] - 1e-10 * sigma[0] <= err <= sigma[1]
 
     def test_degenerate_rank_below_k(self):
-        # rank(A) = 1 < k = 2: stabilized mode plus the pseudoinverse fallback
-        # reproduces A exactly with a trimmed factor.
+        # rank(A) = 1 < k = 2: the orthonormalized sketch is trimmed to one
+        # column, and the factorization reproduces A exactly.
         g = gaussian_matrix(8, 1, seed=14)
         h = gaussian_matrix(1, 6, seed=15)
         a = g @ h
-        cfg = AlsConfig(rank_k=2, iterations_j=2, seed=16, allow_rank_deficient=True)
+        cfg = AlsConfig(rank_k=2, iterations_j=2, seed=16)
         fact = als_run(a, cfg)
         assert frobenius_norm(fact.s @ fact.t - a) <= 1e-10 * frobenius_norm(a)
 
@@ -240,7 +201,6 @@ class TestSerialization:
         assert np.array_equal(back.t, fact.t)
         assert back.iterations_j == 2
         assert back.seed == 27
-        assert back.mode == "stabilized"
         assert back.frobenius_error_trace == pytest.approx(fact.frobenius_error_trace)
 
     def test_sidecar_fields(self, tmp_path):
@@ -253,4 +213,25 @@ class TestSerialization:
         assert meta["rank_k"] == 3
         assert meta["iterations_j"] == 1
         assert meta["seed"] == 29
-        assert meta["mode"] == "stabilized"
+        assert set(meta) == {"rank_k", "iterations_j", "seed", "error_trace"}
+
+    def test_extra_sidecar_keys_ignored(self, tmp_path):
+        import json
+
+        a = gaussian_matrix(8, 6, seed=30)
+        fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=31))
+        save_factorization(tmp_path / "fact", fact)
+        path = tmp_path / "fact" / "factorization.json"
+        meta = json.loads(path.read_text())
+        path.write_text(json.dumps({**meta, "mode": "stabilized"}))
+        back = load_factorization(tmp_path / "fact")
+        assert np.array_equal(back.s, fact.s)
+        assert back.seed == 31
+
+    def test_rank_mismatch_rejected(self, tmp_path):
+        a = gaussian_matrix(8, 6, seed=32)
+        fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=33))
+        save_factorization(tmp_path / "fact", fact)
+        save_matrix(tmp_path / "fact" / "t.alsm", gaussian_matrix(3, 6, seed=34))
+        with pytest.raises(ValueError, match="rank_k"):
+            load_factorization(tmp_path / "fact")

@@ -56,6 +56,15 @@ def test_truncated_payload(tmp_path):
         load_matrix(path)
 
 
+def test_trailing_bytes(tmp_path):
+    a = gaussian_matrix(3, 3, seed=2)
+    path = tmp_path / "a.alsm"
+    save_matrix(path, a)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="trailing"):
+        load_matrix(path)
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_csv_roundtrip(tmp_path, field):
     a = gaussian_matrix(4, 3, seed=3, field=field)

@@ -1,0 +1,54 @@
+"""The textbook (never re-orthonormalized) ALS half-steps that verify.py keeps
+as the reference for the unrolled recurrence."""
+
+import numpy as np
+
+from lowrank_als.matrix import (
+    adjoint,
+    frobenius_norm,
+    gaussian_matrix,
+    householder_qr,
+    lstsq_solve,
+    lstsq_solve_right,
+)
+from lowrank_als.verify import _raw_iterates
+
+from oracles import normal_equations_solve
+
+
+class TestRawHalfSteps:
+    def test_t_update_exact_when_representable(self):
+        s = gaussian_matrix(6, 2, seed=1)
+        x = gaussian_matrix(2, 4, seed=2)
+        a = s @ x
+        t = lstsq_solve(s, a)
+        assert frobenius_norm(s @ t - a) <= 1e-12 * frobenius_norm(a)
+
+    def test_t_update_matches_normal_equations(self):
+        a = gaussian_matrix(6, 4, seed=3)
+        (s0,) = _raw_iterates(a, k=2, iterations=0, seed=3)
+        t = lstsq_solve(s0, a)
+        want = normal_equations_solve(s0, a)
+        assert frobenius_norm(t - want) <= 1e-12 * frobenius_norm(want)
+
+    def test_s_update_with_orthonormal_t_rows(self):
+        a = gaussian_matrix(6, 4, seed=4)
+        t = adjoint(householder_qr(gaussian_matrix(4, 2, seed=5)).q)
+        s = lstsq_solve_right(t, a)
+        assert np.allclose(s, a @ adjoint(t), atol=1e-12)
+
+    def test_s_update_exact_when_representable(self):
+        t = gaussian_matrix(2, 4, seed=6)
+        x = gaussian_matrix(6, 2, seed=7)
+        a = x @ t
+        s = lstsq_solve_right(t, a)
+        assert frobenius_norm(s @ t - a) <= 1e-12 * frobenius_norm(a)
+
+    def test_first_s_update_matches_unrolled_formula(self):
+        # S_1 = A A* S_0 B_0 with B_0 = (S_0* A A* S_0)^{-1} S_0* S_0.
+        a = gaussian_matrix(6, 4, seed=3)
+        s0, s1 = _raw_iterates(a, k=2, iterations=1, seed=8)
+        aat = a @ adjoint(a)
+        b0 = np.linalg.solve(adjoint(s0) @ aat @ s0, adjoint(s0) @ s0)
+        want = aat @ s0 @ b0
+        assert frobenius_norm(s1 - want) <= 1e-10 * frobenius_norm(want)
