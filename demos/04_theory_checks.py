@@ -19,11 +19,9 @@ from lowrank_als import (
     als_update_t,
     frobenius_norm,
     gaussian_matrix,
-    lstsq_solve,
-    numerical_rank,
-    projector,
     small_svd,
 )
+from lowrank_als.verify import lstsq_solve, projector
 
 a = gaussian_matrix(10, 8, seed=3)
 
@@ -44,7 +42,7 @@ for i in range(1, 4):
 s0 = gaussian_matrix(10, 2, seed=1)
 t0 = lstsq_solve(s0, a)
 chain = {"S0* A": adjoint(s0) @ a, "T0": t0, "A T0*": a @ adjoint(t0)}
-print("\nrank chain:", {name: numerical_rank(mat) for name, mat in chain.items()})
+print("\nrank chain:", {name: int(np.linalg.matrix_rank(mat)) for name, mat in chain.items()})
 
 # 3. Simultaneous minimization in both norms.
 s = gaussian_matrix(10, 3, seed=2)

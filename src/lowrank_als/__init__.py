@@ -16,28 +16,14 @@ from .bench import ExperimentRecord, SuiteConfig, run_cell, run_suite
 from .io import load_csv, load_matrix, save_csv, save_matrix
 from .matrix import (
     DENSE_SVD_BUDGET,
-    QrResult,
-    RankDeficientError,
     SvdTriplet,
     adjoint,
     frobenius_norm,
     gaussian_matrix,
-    householder_qr,
-    lstsq_solve,
-    lstsq_solve_right,
-    numerical_rank,
     orthonormal_basis,
-    projector,
     small_svd,
-    spectral_norm,
 )
-from .spectral import (
-    DEFAULT_POWER_SEED,
-    LinearOperator,
-    dense_operator,
-    power_method_norm,
-    residual_operator,
-)
+from .spectral import DEFAULT_POWER_SEED, power_method_norm, residual_operator
 from .svd_convert import factorization_to_svd, load_svd_triplet, save_svd_triplet
 from .testmat import (
     MemoryBudgetError,
@@ -57,10 +43,7 @@ __all__ = [
     "DENSE_SVD_BUDGET",
     "ExperimentRecord",
     "Factorization",
-    "LinearOperator",
     "MemoryBudgetError",
-    "QrResult",
-    "RankDeficientError",
     "SuiteConfig",
     "SvdTriplet",
     "TestMatrixSpec",
@@ -71,22 +54,16 @@ __all__ = [
     "als_update_t",
     "approximation_error",
     "build_test_matrix",
-    "dense_operator",
     "dft_matrix",
     "factorization_to_svd",
     "frobenius_norm",
     "gaussian_matrix",
-    "householder_qr",
     "load_csv",
     "load_factorization",
     "load_matrix",
     "load_svd_triplet",
-    "lstsq_solve",
-    "lstsq_solve_right",
-    "numerical_rank",
     "orthonormal_basis",
     "power_method_norm",
-    "projector",
     "real_orthogonal_matrix",
     "residual_operator",
     "run_cell",
@@ -97,5 +74,4 @@ __all__ = [
     "save_svd_triplet",
     "sigma_spectrum",
     "small_svd",
-    "spectral_norm",
 ]

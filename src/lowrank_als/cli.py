@@ -51,7 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write records to this path")
     p.add_argument("--full", action="store_true", help="run the full-size table suite")
-    p.add_argument("--serial", action="store_true", help="single-threaded, bit-exact mode")
+    p.add_argument(
+        "--serial",
+        action="store_true",
+        help="pin BLAS to one thread (needs threadpoolctl; warns and runs unpinned without it)",
+    )
     p.add_argument("--verify", action="store_true", help="run the theory suites and exit")
     return p
 

@@ -65,6 +65,10 @@ def save_csv(path, a) -> None:
 
 
 def load_csv(path) -> np.ndarray:
+    """Read a CSV written by save_csv, real when every imaginary part is zero.
+
+    Raises ValueError for an empty file, ragged rows or non-finite entries.
+    """
     rows = []
     with open(path) as f:
         for line in f:
@@ -72,6 +76,6 @@ def load_csv(path) -> np.ndarray:
             if line:
                 rows.append([complex(c) for c in line.split(",")])
     arr = np.array(rows)
-    if not np.iscomplexobj(arr) or np.all(arr.imag == 0.0):
-        return np.real(arr).astype(np.float64)
-    return arr.astype(np.complex128)
+    if np.all(arr.imag == 0.0):
+        arr = arr.real
+    return as_matrix(arr, str(path))

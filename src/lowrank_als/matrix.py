@@ -1,12 +1,13 @@
-"""Dense matrix kernels: QR, small SVD, least-squares solves, projectors, sampling.
+"""Dense matrix kernels: validation, norm, sampling, small SVD, column bases.
 
-All routines operate on plain numpy arrays (row-major, float64 or complex128).
-The adjoint of a matrix is its conjugate transpose throughout.
+All routines operate on plain numpy arrays (row-major, float64 or complex128)
+and add only what numpy/scipy lack; callers use numpy/scipy directly for the
+rest (QR, rank, least squares).  The adjoint of a matrix is its conjugate
+transpose throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,6 @@ import scipy.linalg
 DENSE_SVD_BUDGET = 4096**2
 
 _EPS = float(np.finfo(np.float64).eps)
-
-
-class RankDeficientError(ValueError):
-    """Raised for a rank-deficient least-squares operand when no fallback was requested."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -42,29 +39,14 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm (Euclidean norm for vectors) with compensated block summation.
+    """Frobenius norm (Euclidean norm for vectors), right at every scale
+    where the norm itself is representable.
 
-    Squares of magnitudes are summed pairwise within fixed-size blocks and the
-    block partials are combined with Kahan compensation, so the result stays
-    accurate for the largest matrices handled here without a Python-level loop
-    over every entry.
+    BLAS nrm2 on the flattened entries avoids the underflow and overflow of
+    squaring them.  scipy.linalg.norm sends 2-d input to numpy's norm, which
+    squares unscaled, hence the reshape.
     """
-    flat = np.asarray(a).reshape(-1)
-    total = 0.0
-    comp = 0.0
-    block = 1 << 16
-    for start in range(0, flat.size, block):
-        chunk = flat[start : start + block]
-        if np.iscomplexobj(chunk):
-            part = float(np.add.reduce(chunk.real * chunk.real))
-            part += float(np.add.reduce(chunk.imag * chunk.imag))
-        else:
-            part = float(np.add.reduce(chunk * chunk))
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return math.sqrt(total)
+    return float(scipy.linalg.norm(np.asarray(a).reshape(-1), check_finite=False))
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int, field: str = "real") -> np.ndarray:
@@ -87,77 +69,6 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = "real") -> np.
 
 
 @dataclass(frozen=True)
-class QrResult:
-    """Thin QR factorization: q (m-by-k, orthonormal columns), r (k-by-k, upper
-    triangular), and the count of non-negligible diagonal entries of r."""
-
-    q: np.ndarray
-    r: np.ndarray
-    rank_estimate: int
-
-
-def _diag_rank(r: np.ndarray, shape: tuple[int, int]) -> int:
-    diag = np.abs(np.diagonal(r))
-    dmax = diag.max(initial=0.0)
-    tol = max(shape) * _EPS * dmax
-    return int(np.count_nonzero(diag > tol))
-
-
-def householder_qr(a) -> QrResult:
-    """Thin QR via Householder reflections; requires rows >= cols.
-
-    Rank deficiency is reported through ``rank_estimate`` (diagonal entries of
-    r below max(rows, cols) * eps * max|r_ii| count as zero), never raised.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"householder_qr needs rows >= cols, got {a.shape}")
-    q, r = np.linalg.qr(a, mode="reduced")
-    return QrResult(q, r, _diag_rank(r, a.shape))
-
-
-def _pinv_solve(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # SVD pseudoinverse with cutoff sigma < max(p, q) * eps * sigma_max.
-    u, sig, vh = np.linalg.svd(s, full_matrices=False)
-    cutoff = max(s.shape) * _EPS * (float(sig[0]) if sig.size else 0.0)
-    inv = np.zeros_like(sig)
-    keep = sig > cutoff
-    inv[keep] = 1.0 / sig[keep]
-    return adjoint(vh) @ (inv[:, None] * (adjoint(u) @ a))
-
-
-def lstsq_solve(s, a, rank_deficient_ok: bool = False) -> np.ndarray:
-    """Return the T minimizing ||S T - A|| in both the spectral and Frobenius norms.
-
-    Computed through the QR factorization of s (back-substitution against R),
-    never by forming S*S.  A rank-deficient s raises RankDeficientError unless
-    ``rank_deficient_ok`` is set, in which case an SVD-based pseudoinverse with
-    the standard cutoff is used instead.
-    """
-    s = as_matrix(s, "s")
-    a = as_matrix(a, "a")
-    if s.shape[0] != a.shape[0]:
-        raise ValueError(f"incompatible shapes {s.shape} and {a.shape}")
-    qr = householder_qr(s)
-    if qr.rank_estimate < s.shape[1]:
-        if not rank_deficient_ok:
-            raise RankDeficientError("rank-deficient least-squares operand")
-        return _pinv_solve(s, a)
-    rhs = adjoint(qr.q) @ a
-    return scipy.linalg.solve_triangular(qr.r, rhs)
-
-
-def lstsq_solve_right(t, a, rank_deficient_ok: bool = False) -> np.ndarray:
-    """Return the S minimizing ||S T - A||; the adjoint problem of lstsq_solve."""
-    t = as_matrix(t, "t")
-    a = as_matrix(a, "a")
-    if t.shape[1] != a.shape[1]:
-        raise ValueError(f"incompatible shapes {t.shape} and {a.shape}")
-    return adjoint(lstsq_solve(adjoint(t), adjoint(a), rank_deficient_ok))
-
-
-@dataclass(frozen=True)
 class SvdTriplet:
     """Singular value decomposition: u, v with orthonormal columns and sigma
     nonnegative in descending order; the decomposed matrix is u @ diag(sigma) @ v*."""
@@ -176,21 +87,6 @@ def small_svd(a, budget: int = DENSE_SVD_BUDGET) -> SvdTriplet:
     return SvdTriplet(u, sig, adjoint(vh))
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value, computed densely (subject to the SVD budget)."""
-    return float(small_svd(a).sigma[0])
-
-
-def numerical_rank(a) -> int:
-    """Rank estimate via SVD with cutoff max(p, q) * eps * sigma_max."""
-    a = as_matrix(a)
-    sig = np.linalg.svd(a, compute_uv=False)
-    cutoff = max(a.shape) * _EPS * (float(sig[0]) if sig.size else 0.0)
-    if sig.size == 0 or sig[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sig > cutoff))
-
-
 def orthonormal_basis(a) -> np.ndarray:
     """Orthonormal basis of col(a) from rank-revealing (column-pivoted) QR.
 
@@ -199,17 +95,7 @@ def orthonormal_basis(a) -> np.ndarray:
     """
     a = as_matrix(a)
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    rank = _diag_rank(r, a.shape)
+    # Diagonal entries of r below max(m, n) * eps * max|r_ii| count as zero.
+    diag = np.abs(np.diagonal(r))
+    rank = int(np.count_nonzero(diag > max(a.shape) * _EPS * diag.max()))
     return q[:, :rank]
-
-
-def projector(a) -> np.ndarray:
-    """Orthogonal projector onto col(a): Q Q* with Q from orthonormal_basis.
-
-    Idempotent and self-adjoint; the zero matrix maps to the zero projector.
-    """
-    a = as_matrix(a)
-    q = orthonormal_basis(a)
-    if q.shape[1] == 0:
-        return np.zeros((a.shape[0], a.shape[0]), dtype=a.dtype)
-    return q @ adjoint(q)

@@ -1,37 +1,20 @@
-"""Spectral-norm estimation by the power method on implicitly defined operators."""
+"""Spectral-norm estimation by the power method on implicitly defined operators.
+
+Operators are scipy.sparse.linalg.LinearOperator instances, so scipy's
+iterative solvers such as svds accept the residual of a factorization too; a
+dense array is accepted wherever an operator is.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from .matrix import adjoint, frobenius_norm, gaussian_matrix
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
 # factorization seed; override per call when needed.
 DEFAULT_POWER_SEED = 0x9E3779B9
-
-
-class LinearOperator:
-    """A matrix presented through its action: apply (n -> m) and apply_adjoint (m -> n)."""
-
-    def __init__(self, shape, apply, apply_adjoint, dtype=np.float64):
-        self.shape = (int(shape[0]), int(shape[1]))
-        self._apply = apply
-        self._apply_adjoint = apply_adjoint
-        self.dtype = np.dtype(dtype)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v)
-
-    def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
-        return self._apply_adjoint(w)
-
-
-def dense_operator(a: np.ndarray) -> LinearOperator:
-    """Wrap an explicit matrix as a LinearOperator."""
-    a = np.asarray(a)
-    ah = adjoint(a)
-    return LinearOperator(a.shape, lambda v: a @ v, lambda w: ah @ w, dtype=a.dtype)
 
 
 def residual_operator(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> LinearOperator:
@@ -41,35 +24,43 @@ def residual_operator(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> LinearOper
     t = np.asarray(t)
     ah, sh, th = adjoint(a), adjoint(s), adjoint(t)
 
-    def apply(v):
+    def matvec(v):
         return a @ v - s @ (t @ v)
 
-    def apply_adjoint(w):
+    def rmatvec(w):
         return ah @ w - th @ (sh @ w)
 
     dtype = np.result_type(a.dtype, s.dtype, t.dtype)
-    return LinearOperator(a.shape, apply, apply_adjoint, dtype=dtype)
+    return LinearOperator(a.shape, matvec=matvec, rmatvec=rmatvec, dtype=dtype)
 
 
-def power_method_norm(op: LinearOperator, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED) -> float:
+def power_method_norm(op, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED) -> float:
     """Estimate the spectral norm of ``op`` by power iteration on op* op.
 
-    Starts from a normalized Gaussian vector, iterates
-    v <- normalize(op*(op v)) for ``n_iters`` steps, and returns ||op v|| for
-    the final unit v.  The estimate is a Rayleigh-quotient-type lower bound:
-    it never exceeds the true norm beyond rounding.  Returns 0 if the operator
-    annihilates the iterate.
+    ``op`` is a LinearOperator or anything aslinearoperator accepts, such as a
+    dense array.  Starts from a normalized Gaussian vector v and runs
+    ``n_iters`` steps of u <- normalize(op v), v <- normalize(op* u), then
+    returns ||op v|| for the final unit v.  Normalizing after each apply keeps
+    every iterate a unit vector, so the estimate neither underflows nor
+    overflows for any finite scale of the operator.  The estimate is a
+    Rayleigh-quotient-type lower bound: it never exceeds the true norm beyond
+    rounding.  Returns 0 if the operator annihilates an iterate.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
+    op = aslinearoperator(op)
     n = op.shape[1]
     field = "complex" if np.issubdtype(op.dtype, np.complexfloating) else "real"
     v = gaussian_matrix(n, 1, seed, field)[:, 0]
     v = v / frobenius_norm(v)
     for _ in range(n_iters):
-        w = op.apply_adjoint(op.apply(v))
+        u = op.matvec(v)
+        nu = frobenius_norm(u)
+        if nu == 0.0:
+            return 0.0
+        w = op.rmatvec(u / nu)
         nw = frobenius_norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-    return frobenius_norm(op.apply(v))
+    return frobenius_norm(op.matvec(v))

@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from . import io
-from .matrix import SvdTriplet, adjoint, as_matrix, householder_qr, small_svd
+from .matrix import SvdTriplet, as_matrix, small_svd
 
 
 def factorization_to_svd(s, t) -> SvdTriplet:
@@ -29,9 +29,9 @@ def factorization_to_svd(s, t) -> SvdTriplet:
     k = s.shape[1]
     if k > min(s.shape[0], t.shape[1]):
         raise ValueError("inner dimension k must not exceed min(m, n)")
-    qr = householder_qr(s)
-    inner = small_svd(qr.r @ t)
-    u = qr.q @ inner.u
+    q, r = np.linalg.qr(s)
+    inner = small_svd(r @ t)
+    u = q @ inner.u
     v = inner.v
     u, v = _canonicalize_phases(u, v)
     return SvdTriplet(u, inner.sigma, v)

@@ -2,7 +2,10 @@
 
 Each check runs on small random instances and returns a VerificationResult;
 run_all drives the full collection.  These back the --verify flag of the
-benchmark CLI and the acceptance tests.
+benchmark CLI and the acceptance tests.  The least-squares solves and the
+orthogonal projector live here because only these checks use them: the ALS
+iteration itself keeps S orthonormal and never solves a general least-squares
+problem.
 """
 
 from __future__ import annotations
@@ -10,20 +13,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .als import AlsConfig, als_init, als_update_s, als_update_t
 from .matrix import (
     adjoint,
     frobenius_norm,
     gaussian_matrix,
-    lstsq_solve,
-    lstsq_solve_right,
-    numerical_rank,
-    projector,
+    orthonormal_basis,
     small_svd,
 )
-from .spectral import dense_operator, power_method_norm
+from .spectral import power_method_norm
 from .testmat import real_orthogonal_matrix
+
+
+class RankDeficientError(ValueError):
+    """Raised for a rank-deficient least-squares operand when no fallback was requested."""
+
+
+def lstsq_solve(s, a, rank_deficient_ok: bool = False) -> np.ndarray:
+    """Return the T minimizing ||S T - A|| in both the spectral and Frobenius norms.
+
+    Computed by LAPACK gelsd (SVD-based), never by forming S*S, with singular
+    values of s below max(p, q) * eps * sigma_max counted as zero.  A
+    rank-deficient s raises RankDeficientError unless ``rank_deficient_ok`` is
+    set, in which case the minimum-norm (pseudoinverse) solution is returned.
+    scipy rejects non-finite entries and a row-count mismatch with ValueError.
+    """
+    cond = max(np.shape(s)) * np.finfo(np.float64).eps
+    t, _, rank, _ = scipy.linalg.lstsq(s, a, cond=cond)
+    if rank < np.shape(s)[1] and not rank_deficient_ok:
+        raise RankDeficientError("rank-deficient least-squares operand")
+    return t
+
+
+def lstsq_solve_right(t, a, rank_deficient_ok: bool = False) -> np.ndarray:
+    """Return the S minimizing ||S T - A||; the adjoint problem of lstsq_solve."""
+    return adjoint(lstsq_solve(adjoint(t), adjoint(a), rank_deficient_ok))
+
+
+def projector(a) -> np.ndarray:
+    """Orthogonal projector Q Q* onto col(a), with Q from orthonormal_basis.
+
+    Idempotent and self-adjoint; the zero matrix has an m-by-0 basis and so
+    maps to the zero projector.
+    """
+    q = orthonormal_basis(a)
+    return q @ adjoint(q)
 
 
 @dataclass(frozen=True)
@@ -76,7 +112,7 @@ def _rank_chain(a: np.ndarray, k: int, seed: int) -> list[int]:
         a @ adjoint(t1),
         s2,
     ]
-    return [numerical_rank(x) for x in chain]
+    return [int(np.linalg.matrix_rank(x)) for x in chain]
 
 
 def check_rank_chain(random_instances: int = 20, deficient_instances: int = 5):
@@ -199,7 +235,7 @@ def check_power_method(n_operators: int = 50, n_iters: int = 100):
         else:
             a = gaussian_matrix(p, q, seed=7300 + idx)
         sig = small_svd(a).sigma
-        est = power_method_norm(dense_operator(a), n_iters=n_iters, seed=idx)
+        est = power_method_norm(a, n_iters=n_iters, seed=idx)
         if est > sig[0] * (1.0 + 1e-12):
             bad.append((idx, "upper", est, float(sig[0])))
         if sig.size > 1 and sig[0] > 0 and sig[1] <= 0.9 * sig[0]:

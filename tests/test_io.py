@@ -72,3 +72,15 @@ def test_csv_roundtrip(tmp_path, field):
     save_csv(path, a)
     back = load_csv(path)
     assert np.allclose(back, a, atol=0, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    ("text", "match"),
+    [("", "2-dimensional"), ("\n \n\n", "2-dimensional"), ("1.0,2.0\n3.0,nan\n", "non-finite")],
+    ids=["empty", "blank-lines", "nan"],
+)
+def test_csv_rejects_non_matrix(tmp_path, text, match):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        load_csv(path)

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import aslinearoperator, svds
 
 from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
-from lowrank_als.spectral import (
-    LinearOperator,
-    dense_operator,
-    power_method_norm,
-    residual_operator,
-)
+from lowrank_als.spectral import power_method_norm, residual_operator
 
 
 class TestOperators:
     def test_dense_operator_applies(self):
+        # A dense array is measured exactly as its scipy LinearOperator is.
         a = gaussian_matrix(4, 3, seed=0)
-        op = dense_operator(a)
+        op = aslinearoperator(a)
         v = gaussian_matrix(3, 1, seed=1)[:, 0]
-        assert np.allclose(op.apply(v), a @ v)
+        assert np.allclose(op.matvec(v), a @ v)
+        assert power_method_norm(a, n_iters=10, seed=0) == power_method_norm(op, n_iters=10, seed=0)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_residual_adjoint_consistency(self, field):
@@ -28,8 +28,8 @@ class TestOperators:
             w = gaussian_matrix(6, 1, seed=200 + seed, field=field)[:, 0]
             v /= frobenius_norm(v)
             w /= frobenius_norm(w)
-            lhs = np.vdot(w, op.apply(v))
-            rhs = np.vdot(op.apply_adjoint(w), v)
+            lhs = np.vdot(w, op.matvec(v))
+            rhs = np.vdot(op.rmatvec(w), v)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_residual_matches_dense(self):
@@ -38,60 +38,82 @@ class TestOperators:
         e = a - fact.s @ fact.t
         op = residual_operator(a, fact.s, fact.t)
         v = gaussian_matrix(4, 1, seed=6)[:, 0]
-        assert np.allclose(op.apply(v), e @ v, atol=1e-12)
+        assert np.allclose(op.matvec(v), e @ v, atol=1e-12)
+
+    def test_residual_usable_by_svds(self):
+        a = gaussian_matrix(12, 9, seed=7)
+        fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=8))
+        op = residual_operator(a, fact.s, fact.t)
+        top = svds(op, k=1, return_singular_vectors=False, random_state=0)[0]
+        want = small_svd(a - fact.s @ fact.t).sigma[0]
+        assert abs(top - want) <= 1e-10 * want
 
 
 class TestPowerMethodNorm:
     def test_diagonal(self):
-        est = power_method_norm(dense_operator(np.diag([3.0, 1.0])), n_iters=100, seed=0)
+        est = power_method_norm(np.diag([3.0, 1.0]), n_iters=100, seed=0)
         assert abs(est - 3.0) <= 1e-10
 
     def test_identity(self):
-        est = power_method_norm(dense_operator(np.eye(5)), n_iters=100, seed=0)
+        est = power_method_norm(np.eye(5), n_iters=100, seed=0)
         assert abs(est - 1.0) <= 1e-12
 
     def test_random_matches_svd(self):
         a = gaussian_matrix(6, 4, seed=8)
-        est = power_method_norm(dense_operator(a), n_iters=100, seed=1)
+        est = power_method_norm(a, n_iters=100, seed=1)
         top = small_svd(a).sigma[0]
         assert abs(est - top) <= 1e-8 * top
 
     def test_zero_operator(self):
-        assert power_method_norm(dense_operator(np.zeros((4, 3))), n_iters=10, seed=0) == 0.0
+        assert power_method_norm(np.zeros((4, 3)), n_iters=10, seed=0) == 0.0
 
     def test_requires_positive_iterations(self):
         with pytest.raises(ValueError):
-            power_method_norm(dense_operator(np.eye(2)), n_iters=0)
+            power_method_norm(np.eye(2), n_iters=0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lower_bound(self, seed):
         a = gaussian_matrix(12, 9, seed=300 + seed)
-        est = power_method_norm(dense_operator(a), n_iters=30, seed=seed)
+        est = power_method_norm(a, n_iters=30, seed=seed)
         top = small_svd(a).sigma[0]
         assert est <= top * (1 + 1e-12)
 
     def test_monotone_in_iterations(self):
         a = gaussian_matrix(10, 7, seed=9)
-        op = dense_operator(a)
-        lo = power_method_norm(op, n_iters=50, seed=2)
-        hi = power_method_norm(op, n_iters=200, seed=2)
+        lo = power_method_norm(a, n_iters=50, seed=2)
+        hi = power_method_norm(a, n_iters=200, seed=2)
         assert hi >= lo - 1e-12
 
     @pytest.mark.parametrize("ratio", [0.3, 0.5, 0.9])
     def test_gap_convergence(self, ratio):
         d = np.array([1.0, ratio, ratio / 2, ratio / 4])
-        op = dense_operator(np.diag(d))
         n_iters = 40
-        est = power_method_norm(op, n_iters=n_iters, seed=3)
+        est = power_method_norm(np.diag(d), n_iters=n_iters, seed=3)
         assert abs(est - 1.0) <= ratio ** (2 * n_iters) + 1e-10
 
     def test_degenerate_top_singular_value(self):
         # Multiplicity two at the top: still converges to the norm.
-        est = power_method_norm(dense_operator(np.diag([2.0, 2.0, 0.5])), n_iters=100, seed=4)
+        est = power_method_norm(np.diag([2.0, 2.0, 0.5]), n_iters=100, seed=4)
         assert abs(est - 2.0) <= 1e-10
 
     def test_complex_operator(self):
         a = gaussian_matrix(6, 5, seed=10, field="complex")
-        est = power_method_norm(dense_operator(a), n_iters=100, seed=5)
+        est = power_method_norm(a, n_iters=100, seed=5)
         top = small_svd(a).sigma[0]
         assert abs(est - top) <= 1e-8 * top
+
+    @settings(deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        field=st.sampled_from(["real", "complex"]),
+        exponent=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scale_equivariant(self, rows, cols, field, exponent, seed):
+        # Every iterate is normalized after each apply, so no intermediate
+        # vector carries the square of the operator's scale.
+        a = gaussian_matrix(rows, cols, seed, field)
+        c = 10.0**exponent
+        want = power_method_norm(a, n_iters=20, seed=seed)
+        assert abs(power_method_norm(c * a, n_iters=20, seed=seed) / c - want) <= 1e-10 * want

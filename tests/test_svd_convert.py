@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, householder_qr, small_svd
-from lowrank_als.spectral import dense_operator, power_method_norm
+from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.spectral import power_method_norm
 from lowrank_als.svd_convert import factorization_to_svd, load_svd_triplet, save_svd_triplet
 
 
@@ -18,7 +18,7 @@ def test_rank_one():
 
 
 def test_orthonormal_s_diagonal_t():
-    q = householder_qr(gaussian_matrix(7, 3, seed=1)).q
+    q = np.linalg.qr(gaussian_matrix(7, 3, seed=1))[0]
     d = np.array([4.0, 2.0, 1.0])
     t = np.concatenate([np.diag(d), np.zeros((3, 2))], axis=1)
     res = factorization_to_svd(q, t)
@@ -50,7 +50,7 @@ def test_norm_preserved_cross_checked_with_power_method():
     s = gaussian_matrix(9, 2, seed=25)
     t = gaussian_matrix(2, 7, seed=26)
     res = factorization_to_svd(s, t)
-    via_power = power_method_norm(dense_operator(s @ t), n_iters=100, seed=0)
+    via_power = power_method_norm(s @ t, n_iters=100, seed=0)
     assert abs(res.sigma[0] - via_power) <= 1e-10 * res.sigma[0]
 
 
