@@ -24,16 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .matrix import (
-    adjoint,
-    as_matrix,
-    frobenius_norm,
-    gaussian_matrix,
-    orthonormal_basis,
-    small_svd,
-    DENSE_SVD_BUDGET,
-)
-from .spectral import DEFAULT_POWER_SEED, power_method_norm, residual_operator
+from .matrix import adjoint, as_matrix, frobenius_norm, gaussian_matrix, orthonormal_basis
+from .spectral import power_method_norm, residual_operator
 
 
 @dataclass(frozen=True)
@@ -142,19 +134,13 @@ def als_run(a, config: AlsConfig) -> Factorization:
     )
 
 
-def approximation_error(
-    a,
-    factorization: Factorization,
-    norm: str = "spectral",
-    method: str = "power",
-    n_iters: int = 100,
-    power_seed: int = DEFAULT_POWER_SEED,
-) -> float:
-    """Norm of A - S T.
+def approximation_error(a, factorization: Factorization, norm: str = "spectral") -> float:
+    """Norm of A - S T, never forming the residual for the spectral norm.
 
-    The spectral norm is measured by the power method (default 100 iterations)
-    or, with method="exact", densely via SVD when the residual fits the dense
-    budget.  The Frobenius norm is computed directly.
+    The spectral norm is the paper's epsilon: power_method_norm with its
+    defaults on residual_operator(a, s, t).  For other iteration counts or
+    start seeds, call power_method_norm directly.  The Frobenius norm is
+    computed directly.
     """
     a = as_matrix(a)
     s, t = factorization.s, factorization.t
@@ -164,13 +150,7 @@ def approximation_error(
         return frobenius_norm(a - s @ t)
     if norm != "spectral":
         raise ValueError(f"unknown norm {norm!r}")
-    if method == "exact":
-        if a.size > DENSE_SVD_BUDGET:
-            raise ValueError("residual exceeds the dense SVD budget; use method='power'")
-        return float(small_svd(a - s @ t).sigma[0])
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
-    return power_method_norm(residual_operator(a, s, t), n_iters=n_iters, seed=power_seed)
+    return power_method_norm(residual_operator(a, s, t))
 
 
 def save_factorization(directory, factorization: Factorization) -> None:

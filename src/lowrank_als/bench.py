@@ -1,25 +1,23 @@
 """Benchmark harness: accuracy/timing tables for ALS low-rank approximation.
 
 Each record is one table row (j, k, delta, epsilon, t): epsilon is the
-spectral-norm error of the computed approximation measured by 100 power-method
-iterations, and t_seconds times the ALS run only (matrix generation and error
-measurement excluded).
+spectral-norm error of the computed approximation, measured by
+power_method_norm with its defaults (the paper's 100 iterations), and
+t_seconds times the ALS run only (matrix generation and error measurement
+excluded).  A SuiteConfig is the grid alone; writing records to a file is
+up to the caller (write_csv, write_json).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import statistics
 import time
-import warnings
 from dataclasses import asdict, dataclass
 
 from .als import AlsConfig, als_run
-from .spectral import DEFAULT_POWER_SEED, power_method_norm, residual_operator
+from .spectral import power_method_norm, residual_operator
 from .testmat import TestMatrixSpec, build_test_matrix
-
-POWER_ITERATIONS = 100
 
 CSV_HEADER = "m,n,transform,k,delta,j,seed,epsilon,t_seconds"
 
@@ -44,19 +42,9 @@ class SuiteConfig:
     iteration_counts: tuple = (0, 1, 2, 10)
     seeds: tuple = (0, 1, 2, 3, 4)
     transform: str = "dft"
-    matrix_seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
-    serial: bool = False
 
 
-def run_cell(
-    spec: TestMatrixSpec,
-    j: int,
-    seed: int,
-    a=None,
-    power_seed: int = DEFAULT_POWER_SEED,
-) -> ExperimentRecord:
+def run_cell(spec: TestMatrixSpec, j: int, seed: int, a=None) -> ExperimentRecord:
     """One table cell: build (or reuse) A, time the ALS run, measure epsilon."""
     if a is None:
         a = build_test_matrix(spec)
@@ -64,11 +52,7 @@ def run_cell(
     t0 = time.perf_counter()
     factorization = als_run(a, config)
     t_seconds = time.perf_counter() - t0
-    epsilon = power_method_norm(
-        residual_operator(a, factorization.s, factorization.t),
-        n_iters=POWER_ITERATIONS,
-        seed=power_seed,
-    )
+    epsilon = power_method_norm(residual_operator(a, factorization.s, factorization.t))
     return ExperimentRecord(
         m=spec.m,
         n=spec.n,
@@ -91,14 +75,10 @@ def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
         raise ValueError("iteration_counts must be nonempty")
     if not config.seeds:
         raise ValueError("seeds must be nonempty")
-    if config.fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {config.fmt!r}")
     specs = []
     for m, n in config.sizes:
         for k, delta in config.rank_deltas:
-            specs.append(
-                TestMatrixSpec(m, n, k, delta, transform=config.transform, seed=config.matrix_seed)
-            )
+            specs.append(TestMatrixSpec(m, n, k, delta, transform=config.transform))
     return specs
 
 
@@ -111,45 +91,20 @@ def run_suite(config: SuiteConfig):
     specs = _validate_suite(config)
     records: list[ExperimentRecord] = []
     failures: list[dict] = []
-    with _thread_limiter(config.serial):
-        for spec in specs:
-            try:
-                a = build_test_matrix(spec)
-            except Exception as exc:  # noqa: BLE001 - recorded, suite continues
-                failures.append({"spec": spec.to_json(), "error": str(exc)})
-                continue
-            for j in config.iteration_counts:
-                for seed in config.seeds:
-                    try:
-                        records.append(run_cell(spec, j, seed, a=a))
-                    except Exception as exc:  # noqa: BLE001
-                        failures.append(
-                            {"spec": spec.to_json(), "j": j, "seed": seed, "error": str(exc)}
-                        )
-            del a
-    summary = summarize(records, failures)
-    if config.out:
-        if config.fmt == "csv":
-            write_csv(config.out, records)
-        else:
-            write_json(config.out, records, summary)
-    return records, summary
-
-
-def _thread_limiter(serial: bool):
-    """Context pinning BLAS to one thread when ``serial``; warns if it cannot."""
-    if not serial:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        warnings.warn(
-            "threadpoolctl is not installed, so BLAS threads were not pinned for the serial run",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1)
+    for spec in specs:
+        try:
+            a = build_test_matrix(spec)
+        except Exception as exc:  # noqa: BLE001 - recorded, suite continues
+            failures.append({"spec": asdict(spec), "error": str(exc)})
+            continue
+        for j in config.iteration_counts:
+            for seed in config.seeds:
+                try:
+                    records.append(run_cell(spec, j, seed, a=a))
+                except Exception as exc:  # noqa: BLE001
+                    failures.append({"spec": asdict(spec), "j": j, "seed": seed, "error": str(exc)})
+        del a
+    return records, summarize(records, failures)
 
 
 def summarize(records: list[ExperimentRecord], failures: list[dict]) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import SuiteConfig, run_suite
+from .bench import SuiteConfig, run_suite, write_csv, write_json
 from .verify import run_all
 
 PAPER_SIZES = ((2048, 4096), (4096, 4096), (4096, 8192))
@@ -51,11 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write records to this path")
     p.add_argument("--full", action="store_true", help="run the full-size table suite")
-    p.add_argument(
-        "--serial",
-        action="store_true",
-        help="pin BLAS to one thread (needs threadpoolctl; warns and runs unpinned without it)",
-    )
     p.add_argument("--verify", action="store_true", help="run the theory suites and exit")
     return p
 
@@ -82,14 +77,15 @@ def main(argv=None) -> int:
             iteration_counts=tuple(_int_list(args.iters)),
             seeds=tuple(_parse_seeds(args.seeds)),
             transform="real_orthogonal" if args.transform == "real" else "dft",
-            out=args.out,
-            fmt=args.format,
-            serial=args.serial,
         )
         records, summary = run_suite(config)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    if args.out and args.format == "csv":
+        write_csv(args.out, records)
+    elif args.out:
+        write_json(args.out, records, summary)
 
     print(f"{'j':>3} {'k':>3} {'delta':>9} {'epsilon':>11} {'t_seconds':>10}  (m x n)")
     for rec in records:

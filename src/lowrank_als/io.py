@@ -7,6 +7,7 @@ Binary layout (little-endian): magic ``ALSM``, version u32, field tag u8
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -30,7 +31,11 @@ def save_matrix(path, a) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix."""
+    """Read a matrix written by save_matrix.
+
+    Raises ValueError for a bad header, a payload shorter or longer than the
+    header's rows * cols entries, an empty shape or non-finite entries.
+    """
     with open(path, "rb") as f:
         header = f.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -42,14 +47,16 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: unsupported version {version}")
         if tag not in (0, 1):
             raise ValueError(f"{path}: bad field tag {tag}")
-        dtype = "<c16" if tag else "<f8"
+        dtype = np.dtype("<c16" if tag else "<f8")
+        # Python ints: a header claiming 2^32 x 2^32 entries cannot overflow here.
+        expected = rows * cols * dtype.itemsize
+        remaining = os.fstat(f.fileno()).st_size - _HEADER.size
+        if remaining < expected:
+            raise ValueError(f"{path}: truncated payload")
+        if remaining > expected:
+            raise ValueError(f"{path}: trailing bytes after the payload")
         data = np.fromfile(f, dtype=dtype, count=rows * cols)
-        trailing = f.read(1)
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated payload")
-    if trailing:
-        raise ValueError(f"{path}: trailing bytes after the payload")
-    return data.astype(np.complex128 if tag else np.float64).reshape(rows, cols)
+    return as_matrix(data.reshape(rows, cols), str(path))
 
 
 def save_csv(path, a) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -54,17 +53,26 @@ def _canonicalize_phases(u: np.ndarray, v: np.ndarray):
 
 
 def save_svd_triplet(directory, triplet: SvdTriplet) -> None:
-    """Write U, sigma, V as binary matrices plus a JSON sidecar with sigma."""
+    """Write U, sigma (as a k-by-1 column) and V as binary matrices."""
     os.makedirs(directory, exist_ok=True)
     io.save_matrix(os.path.join(directory, "u.alsm"), triplet.u)
     io.save_matrix(os.path.join(directory, "sigma.alsm"), np.asarray(triplet.sigma)[:, None])
     io.save_matrix(os.path.join(directory, "v.alsm"), triplet.v)
-    with open(os.path.join(directory, "svd.json"), "w") as f:
-        json.dump({"sigma": [float(x) for x in triplet.sigma]}, f, indent=2)
 
 
 def load_svd_triplet(directory) -> SvdTriplet:
+    """Read a triplet written by save_svd_triplet.
+
+    Raises ValueError unless sigma is a real k-by-1 column and U and V both
+    have k columns.  Other files in the directory are ignored.
+    """
     u = io.load_matrix(os.path.join(directory, "u.alsm"))
-    sigma = io.load_matrix(os.path.join(directory, "sigma.alsm"))[:, 0]
+    sigma = io.load_matrix(os.path.join(directory, "sigma.alsm"))
     v = io.load_matrix(os.path.join(directory, "v.alsm"))
-    return SvdTriplet(u, np.real(sigma), v)
+    k = sigma.shape[0]
+    if np.iscomplexobj(sigma) or sigma.shape[1] != 1 or not u.shape[1] == k == v.shape[1]:
+        raise ValueError(
+            f"{directory}: U is {u.shape}, sigma is {sigma.shape} {sigma.dtype} and V is "
+            f"{v.shape}; want a real (k, 1) sigma and k columns in U and V"
+        )
+    return SvdTriplet(u, sigma[:, 0], v)

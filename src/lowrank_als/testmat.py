@@ -10,7 +10,6 @@ rank-k spectral error is exactly delta and the spectral norm of A is 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,22 +52,6 @@ class TestMatrixSpec:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.transform not in ("dft", "real_orthogonal"):
             raise ValueError(f"unknown transform {self.transform!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "n": self.n,
-                "k": self.k,
-                "delta": self.delta,
-                "transform": self.transform,
-                "seed": self.seed,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TestMatrixSpec":
-        return cls(**json.loads(text))
 
 
 def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:

@@ -11,7 +11,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from lowrank_als.als import AlsConfig, als_run, approximation_error
+from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.bench import SuiteConfig, run_cell, run_suite
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
@@ -126,7 +126,7 @@ def test_criterion_7_optimality_floor_and_monotonicity():
         if not all(b <= x + slack for x, b in zip(trace, trace[1:])):
             violations.append(("trace", seed))
         sigma = small_svd(a).sigma
-        err = approximation_error(a, fact, "spectral", method="exact")
+        err = small_svd(a - fact.s @ fact.t).sigma[0]
         floor = sigma[3] - 1e-10 * sigma[0]
         worst_floor = min(worst_floor, err - floor)
         if err < floor:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank_als.als import (
     AlsConfig,
@@ -87,7 +89,7 @@ class TestRun:
     def test_diagonal_converges_to_second_singular_value(self, seed):
         a = np.diag([5.0, 3.0, 1.0])
         fact = als_run(a, AlsConfig(rank_k=1, iterations_j=5, seed=seed))
-        err = approximation_error(a, fact, "spectral", method="exact")
+        err = small_svd(a - fact.s @ fact.t).sigma[0]
         assert abs(err - 3.0) <= 1e-2 * 3.0
 
     def test_zero_iterations_is_projection_baseline(self):
@@ -121,7 +123,7 @@ class TestRun:
         for seed in range(5):
             a = gaussian_matrix(8, 6, seed=100 + seed)
             fact = als_run(a, AlsConfig(rank_k=2, iterations_j=3, seed=seed))
-            err = approximation_error(a, fact, "spectral", method="exact")
+            err = small_svd(a - fact.s @ fact.t).sigma[0]
             sigma = small_svd(a).sigma
             assert err >= sigma[2] - 1e-10 * sigma[0]
 
@@ -137,7 +139,7 @@ class TestRun:
         a = gaussian_matrix(8, 6, seed=12, field="complex")
         fact = als_run(a, AlsConfig(rank_k=2, iterations_j=3, seed=13))
         assert np.iscomplexobj(fact.s)
-        err = approximation_error(a, fact, "spectral", method="exact")
+        err = small_svd(a - fact.s @ fact.t).sigma[0]
         sigma = small_svd(a).sigma
         assert sigma[2] - 1e-10 * sigma[0] <= err <= sigma[1]
 
@@ -157,9 +159,36 @@ class TestRun:
         a = g @ h
         fact = als_run(a, AlsConfig(rank_k=2, iterations_j=2, seed=19))
         for norm in ("spectral", "frobenius"):
-            method = {"norm": norm}
             err = approximation_error(a, fact, norm)
             assert err <= 1e-12 * frobenius_norm(a)
+
+    @settings(deadline=None)
+    @given(
+        rows=st.integers(2, 40),
+        cols=st.integers(2, 40),
+        field=st.sampled_from(["real", "complex"]),
+        j=st.integers(0, 3),
+        exponent=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_scale_safe_run(self, rows, cols, field, j, exponent, seed, data):
+        # A whole run at scale 10^exponent: no column lost, never better than
+        # optimal, and the measured errors scale with A.
+        k = data.draw(st.integers(1, min(rows, cols) - 1), label="k")
+        base = gaussian_matrix(rows, cols, seed, field)
+        c = 10.0**exponent
+        a = c * base
+        cfg = AlsConfig(rank_k=k, iterations_j=j, seed=seed)
+        fact = als_run(a, cfg)
+        assert fact.s.shape[1] == k
+        assert frobenius_norm(adjoint(fact.s) @ fact.s - np.eye(k)) <= 1e-12
+        sigma = small_svd(a).sigma
+        assert small_svd(a - fact.s @ fact.t).sigma[0] >= sigma[k] - 1e-10 * sigma[0]
+        base_fact = als_run(base, cfg)
+        for norm in ("spectral", "frobenius"):
+            want = approximation_error(base, base_fact, norm)
+            assert abs(approximation_error(a, fact, norm) / c - want) <= 1e-10 * want
 
 
 class TestApproximationError:
@@ -167,7 +196,7 @@ class TestApproximationError:
         a = gaussian_matrix(10, 8, seed=20)
         fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=21))
         power = approximation_error(a, fact, "spectral")
-        exact = approximation_error(a, fact, "spectral", method="exact")
+        exact = small_svd(a - fact.s @ fact.t).sigma[0]
         assert power <= exact * (1 + 1e-12)
         assert abs(power - exact) <= 1e-6 * exact
 

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import sys
 
 import pytest
 
@@ -96,21 +95,6 @@ class TestRunSuite:
         assert set(ratios) == {"0", "2"}
         assert ratios["2"] < ratios["0"]
 
-    def test_serial_mode_runs(self, monkeypatch):
-        # Without threadpoolctl the run goes ahead and says BLAS was not pinned.
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        with pytest.warns(RuntimeWarning, match="not pinned"):
-            records, _ = run_suite(
-                SuiteConfig(
-                    sizes=((32, 64),),
-                    rank_deltas=((2, 1e-3),),
-                    iteration_counts=(1,),
-                    seeds=(0,),
-                    serial=True,
-                )
-            )
-        assert len(records) == 1
-
 
 class TestOutputFormats:
     def _records(self):
@@ -138,15 +122,3 @@ class TestOutputFormats:
         assert len(payload["records"]) == 2
         assert payload["records"][0] == dataclasses.asdict(records[0])
         assert "max_epsilon_over_delta_by_j" in payload["summary"]
-
-    def test_suite_writes_output(self, tmp_path):
-        out = tmp_path / "suite.csv"
-        config = SuiteConfig(
-            sizes=((32, 64),),
-            rank_deltas=((2, 1e-3),),
-            iteration_counts=(1,),
-            seeds=(0,),
-            out=str(out),
-        )
-        run_suite(config)
-        assert out.read_text().startswith(CSV_HEADER)

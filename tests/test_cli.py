@@ -60,7 +60,7 @@ def test_real_transform(tmp_path):
             "--m", "32", "--n", "64",
             "--k", "2", "--delta", "1e-3",
             "--iters", "1", "--seeds", "1",
-            "--transform", "real", "--serial",
+            "--transform", "real",
             "--out", str(out),
         ]
     )

@@ -65,6 +65,22 @@ def test_trailing_bytes(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize(
+    ("rows", "cols", "payload", "match"),
+    [
+        (0, 5, b"", "positive dimensions"),
+        (2, 2, struct.pack("<4d", 1.0, float("nan"), 0.0, 1.0), "non-finite"),
+        (2**32, 2**32, b"", "truncated"),
+    ],
+    ids=["zero-rows", "nan", "huge-header"],
+)
+def test_header_and_payload_validated(tmp_path, rows, cols, payload, match):
+    path = tmp_path / "a.alsm"
+    path.write_bytes(struct.pack("<4sIBQQ", MAGIC, VERSION, 0, rows, cols) + payload)
+    with pytest.raises(ValueError, match=match):
+        load_matrix(path)
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_csv_roundtrip(tmp_path, field):
     a = gaussian_matrix(4, 3, seed=3, field=field)

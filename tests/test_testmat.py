@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -32,8 +35,9 @@ class TestSpecValidation:
             TestMatrixSpec(16, 16, 2, 1e-3, transform="hadamard")
 
     def test_json_roundtrip(self):
+        # run_suite's failure records hold asdict(spec) inside its JSON summary.
         spec = TestMatrixSpec(32, 16, 2, 1e-3, transform="real_orthogonal", seed=5)
-        assert TestMatrixSpec.from_json(spec.to_json()) == spec
+        assert TestMatrixSpec(**json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
 
 
 class TestSigmaSpectrum:
