@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io
 from .matrix import adjoint, as_matrix, frobenius_norm, gaussian_matrix, orthonormal_basis
-from .spectral import power_method_norm, residual_operator
+from .spectral import power_method_norm
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,8 @@ def approximation_error(a, factorization: Factorization, norm: str = "spectral")
     """Norm of A - S T, never forming the residual for the spectral norm.
 
     The spectral norm is the paper's epsilon: power_method_norm with its
-    defaults on residual_operator(a, s, t).  For other iteration counts or
-    start seeds, call power_method_norm directly.  The Frobenius norm is
-    computed directly.
+    defaults on A minus S T.  For other iteration counts or start seeds, call
+    power_method_norm directly.  The Frobenius norm is computed directly.
     """
     a = as_matrix(a)
     s, t = factorization.s, factorization.t
@@ -150,7 +149,7 @@ def approximation_error(a, factorization: Factorization, norm: str = "spectral")
         return frobenius_norm(a - s @ t)
     if norm != "spectral":
         raise ValueError(f"unknown norm {norm!r}")
-    return power_method_norm(residual_operator(a, s, t))
+    return power_method_norm(a, minus=[(s, t)])[0]
 
 
 def save_factorization(directory, factorization: Factorization) -> None:

@@ -4,8 +4,12 @@ Each record is one table row (j, k, delta, epsilon, t): epsilon is the
 spectral-norm error of the computed approximation, measured by
 power_method_norm with its defaults (the paper's 100 iterations), and
 t_seconds times the ALS run only (matrix generation and error measurement
-excluded).  A SuiteConfig is the grid alone; writing records to a file is
-up to the caller (write_csv, write_json).
+excluded).  The cells of one test matrix are measured together: every ALS
+run is timed first, then a single power_method_norm(a, minus=...) call
+estimates all their epsilons with shared passes over A.  Each estimate
+differs from a standalone measurement of its cell only by rounding.  A
+SuiteConfig is the grid alone; writing records to a file is up to the caller
+(write_csv, write_json).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .als import AlsConfig, als_run
-from .spectral import power_method_norm, residual_operator
+from .spectral import power_method_norm
 from .testmat import TestMatrixSpec, build_test_matrix
 
 CSV_HEADER = "m,n,transform,k,delta,j,seed,epsilon,t_seconds"
@@ -44,26 +48,56 @@ class SuiteConfig:
     transform: str = "dft"
 
 
+def _run_matrix(spec: TestMatrixSpec, a, cells) -> list:
+    """A record, or the exception that stopped it, for each (j, seed) cell of one matrix.
+
+    Each ALS run is timed alone; the factors are held until one
+    power_method_norm call measures every epsilon.  If that call raises, its
+    exception stands for every cell that reached it.
+    """
+    outcomes: list = [None] * len(cells)
+    runs = {}  # cell index -> (factorization, t_seconds)
+    for index, (j, seed) in enumerate(cells):
+        config = AlsConfig(rank_k=spec.k, iterations_j=j, seed=seed)
+        t0 = time.perf_counter()
+        try:
+            factorization = als_run(a, config)
+        except Exception as exc:  # noqa: BLE001 - the caller records or raises it
+            outcomes[index] = exc
+            continue
+        runs[index] = (factorization, time.perf_counter() - t0)
+    if not runs:
+        return outcomes
+    try:
+        epsilons = power_method_norm(a, minus=[(f.s, f.t) for f, _ in runs.values()])
+    except Exception as exc:  # noqa: BLE001
+        for index in runs:
+            outcomes[index] = exc
+        return outcomes
+    for (index, (_, t_seconds)), epsilon in zip(runs.items(), epsilons):
+        j, seed = cells[index]
+        outcomes[index] = ExperimentRecord(
+            m=spec.m,
+            n=spec.n,
+            transform=spec.transform,
+            k=spec.k,
+            delta=spec.delta,
+            j=j,
+            seed=seed,
+            epsilon=epsilon,
+            t_seconds=t_seconds,
+        )
+    return outcomes
+
+
 def run_cell(spec: TestMatrixSpec, j: int, seed: int, a=None) -> ExperimentRecord:
     """One table cell: build (or reuse) A, time the ALS run, measure epsilon."""
     if a is None:
         a = build_test_matrix(spec)
-    config = AlsConfig(rank_k=spec.k, iterations_j=j, seed=seed)
-    t0 = time.perf_counter()
-    factorization = als_run(a, config)
-    t_seconds = time.perf_counter() - t0
-    epsilon = power_method_norm(residual_operator(a, factorization.s, factorization.t))
-    return ExperimentRecord(
-        m=spec.m,
-        n=spec.n,
-        transform=spec.transform,
-        k=spec.k,
-        delta=spec.delta,
-        j=j,
-        seed=seed,
-        epsilon=epsilon,
-        t_seconds=t_seconds,
-    )
+    (outcome,) = _run_matrix(spec, a, [(j, seed)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
@@ -85,10 +119,12 @@ def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
 def run_suite(config: SuiteConfig):
     """Run every (size, (k, delta), j, seed) cell; returns (records, summary).
 
-    The test matrix for a spec is built once and reused across its cells.
-    Per-cell failures are recorded in the summary and the suite continues.
+    The test matrix for a spec is built once; all its cells share it and one
+    epsilon measurement.  Per-cell failures are recorded in the summary and
+    the suite continues; a failed measurement fails every cell it covered.
     """
     specs = _validate_suite(config)
+    cells = [(j, seed) for j in config.iteration_counts for seed in config.seeds]
     records: list[ExperimentRecord] = []
     failures: list[dict] = []
     for spec in specs:
@@ -97,12 +133,11 @@ def run_suite(config: SuiteConfig):
         except Exception as exc:  # noqa: BLE001 - recorded, suite continues
             failures.append({"spec": asdict(spec), "error": str(exc)})
             continue
-        for j in config.iteration_counts:
-            for seed in config.seeds:
-                try:
-                    records.append(run_cell(spec, j, seed, a=a))
-                except Exception as exc:  # noqa: BLE001
-                    failures.append({"spec": asdict(spec), "j": j, "seed": seed, "error": str(exc)})
+        for (j, seed), outcome in zip(cells, _run_matrix(spec, a, cells)):
+            if isinstance(outcome, Exception):
+                failures.append({"spec": asdict(spec), "j": j, "seed": seed, "error": str(outcome)})
+            else:
+                records.append(outcome)
         del a
     return records, summarize(records, failures)
 

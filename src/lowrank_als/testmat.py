@@ -69,17 +69,12 @@ def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def _dft_block(n: int, rows: np.ndarray) -> np.ndarray:
-    # Rows of the unitary n-point DFT (minus-sign exponent convention).
-    q = np.arange(n)
-    return np.exp((-2j * np.pi / n) * np.outer(rows, q)) / np.sqrt(n)
-
-
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary discrete Fourier transform: entry (p, q) = exp(-2 pi i p q / n) / sqrt(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _dft_block(n, np.arange(n))
+    q = np.arange(n)
+    return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)
 
 
 def real_orthogonal_matrix(n: int, seed: int) -> np.ndarray:
@@ -91,25 +86,28 @@ def real_orthogonal_matrix(n: int, seed: int) -> np.ndarray:
 
 
 def build_test_matrix(spec: TestMatrixSpec, memory_budget: int = MEMORY_BUDGET) -> np.ndarray:
-    """Materialize A = F Sigma G densely (no FFT shortcuts).
+    """Materialize A = F Sigma G.
 
-    Only the first min(m, n) columns of F and rows of G contribute, so just
-    those blocks are formed.  Singular values of the result equal
-    sigma_spectrum(spec) by unitary invariance.
+    Only the first min(m, n) columns of F and rows of G contribute.  For the
+    DFT, F Sigma is the m-point FFT down the columns of diag(sigma) padded to
+    m rows, and multiplying by G is the n-point FFT along each row padded to n
+    columns (the DFT is symmetric); dft_matrix is the dense oracle.  Singular
+    values of the result equal sigma_spectrum(spec) by unitary invariance.
     """
     m, n = spec.m, spec.n
     r = min(m, n)
-    itemsize = 16 if spec.transform == "dft" else 8
-    required = (m * r + 2 * r * n + m * n) * itemsize
+    if spec.transform == "dft":
+        # Bound on the working set: the real r-by-r diag(sigma), the m-by-r
+        # F Sigma and the m-by-n result.
+        required = r * r * 8 + (m * r + m * n) * 16
+    else:
+        required = (m * r + 2 * r * n + m * n) * 8
     if required > memory_budget:
         raise MemoryBudgetError(required, memory_budget)
     sig = sigma_spectrum(spec)
     if spec.transform == "dft":
-        # The DFT is symmetric, so its first r columns are the transpose of
-        # its first r rows.
-        f_cols = _dft_block(m, np.arange(r)).T
-        g_rows = _dft_block(n, np.arange(r))
-    else:
-        f_cols = real_orthogonal_matrix(m, spec.seed)[:, :r]
-        g_rows = real_orthogonal_matrix(n, spec.seed + 1)[:r, :]
+        f_sigma = np.fft.fft(np.diag(sig), n=m, axis=0, norm="ortho")
+        return np.fft.fft(f_sigma, n=n, axis=1, norm="ortho")
+    f_cols = real_orthogonal_matrix(m, spec.seed)[:, :r]
+    g_rows = real_orthogonal_matrix(n, spec.seed + 1)[:r, :]
     return f_cols @ (sig[:, None] * g_rows)

@@ -89,6 +89,47 @@ class TestRunSuite:
         assert len(summary["failures"]) == 1
         assert "boom" in summary["failures"][0]["error"]
 
+    def test_shared_measurement_matches_cells(self):
+        a = build_test_matrix(SMALL_SPEC)
+        records, _ = run_suite(SMALL_SUITE)
+        for rec in records:
+            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed, a=a).epsilon
+            assert abs(rec.epsilon - want) <= 1e-12 * want
+
+    def test_failed_als_cell_keeps_matrix_measured(self, monkeypatch):
+        import lowrank_als.bench as bench
+
+        real_als_run = bench.als_run
+
+        def flaky(a, config):
+            if (config.iterations_j, config.seed) == (2, 1):
+                raise RuntimeError("boom")
+            return real_als_run(a, config)
+
+        monkeypatch.setattr(bench, "als_run", flaky)
+        records, summary = run_suite(SMALL_SUITE)
+        assert [(r.j, r.seed) for r in records] == [(0, 0), (0, 1), (2, 0)]
+        (failure,) = summary["failures"]
+        assert (failure["j"], failure["seed"], failure["error"]) == (2, 1, "boom")
+        monkeypatch.undo()
+        a = build_test_matrix(SMALL_SPEC)
+        for rec in records:
+            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed, a=a).epsilon
+            assert abs(rec.epsilon - want) <= 1e-12 * want
+
+    def test_failed_measurement_fails_its_cells(self, monkeypatch):
+        import lowrank_als.bench as bench
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("no measurement")
+
+        monkeypatch.setattr(bench, "power_method_norm", broken)
+        records, summary = run_suite(SMALL_SUITE)
+        assert records == []
+        assert [(f["j"], f["seed"]) for f in summary["failures"]] == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        with pytest.raises(RuntimeError, match="no measurement"):
+            run_cell(SMALL_SPEC, j=0, seed=0)
+
     def test_summary_ratios(self):
         records, summary = run_suite(SMALL_SUITE)
         ratios = summary["max_epsilon_over_delta_by_j"]

@@ -45,8 +45,10 @@ def test_traced_pass_counts(spans, tmp_path):
     assert metrics["als.half_steps"] == 9
     # One sketch per run, one pass per half-step, one more per tracked half-step.
     assert metrics["als.passes_over_a"] == (2 + 6) + (1 + 2 * 3)
-    # Each cell measures epsilon with 100 power iterations: 2 * 100 + 1 passes.
-    assert metrics["spectral.passes_over_a"] == 2 * 201
+    # Both cells of the one matrix share one measurement of 100 power
+    # iterations: 2 * 100 + 1 passes over the complex 32x64 A.
+    assert metrics["spectral.passes_over_a"] == 201
+    assert metrics["spectral.bytes_a"] == 201 * 32 * 64 * 16
     assert metrics["testmat.build_calls"] == 1
     # Header plus payload of S (16x3) and T (3x12).
     assert metrics["io.bytes_written"] == 2 * spans.HEADER_BYTES + (16 * 3 + 3 * 12) * 8

@@ -117,3 +117,60 @@ class TestPowerMethodNorm:
         c = 10.0**exponent
         want = power_method_norm(a, n_iters=20, seed=seed)
         assert abs(power_method_norm(c * a, n_iters=20, seed=seed) / c - want) <= 1e-10 * want
+
+
+class TestSharedMeasurement:
+    """power_method_norm(a, minus=pairs): one block iteration for every pair."""
+
+    @settings(deadline=None)
+    @given(
+        rows=st.integers(2, 40),
+        cols=st.integers(2, 40),
+        field=st.sampled_from(["real", "complex"]),
+        n_pairs=st.integers(1, 4),
+        exponent=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_standalone_and_scales(self, rows, cols, field, n_pairs, exponent, seed, data):
+        a = gaussian_matrix(rows, cols, seed, field)
+        pairs = []
+        for i in range(n_pairs):
+            k = data.draw(st.integers(1, min(rows, cols) - 1))
+            j = data.draw(st.integers(0, 3))
+            fact = als_run(a, AlsConfig(rank_k=k, iterations_j=j, seed=seed + i))
+            pairs.append((fact.s, fact.t))
+        shared = power_method_norm(a, minus=pairs)
+        assert len(shared) == n_pairs
+        for (s, t), est in zip(pairs, shared):
+            want = power_method_norm(residual_operator(a, s, t))
+            assert abs(est - want) <= 1e-10 * want
+        c = 10.0**exponent
+        scaled = power_method_norm(c * a, minus=[(c * s, t) for s, t in pairs])
+        for est, want in zip(scaled, shared):
+            assert abs(est / c - want) <= 1e-10 * want
+
+    def test_zero_residual_pair(self):
+        # A = S T with one nonzero entry, so S (T v) equals A v exactly and
+        # that pair's residual iterate is exactly zero.
+        a = np.zeros((5, 4))
+        a[0, 0] = 3.0
+        e_row = np.zeros((1, 4))
+        e_row[0, 0] = 1.0
+        exact = (a[:, :1].copy(), e_row)
+        generic = (gaussian_matrix(5, 1, seed=11), gaussian_matrix(1, 4, seed=12))
+        nothing = (np.zeros((5, 1)), np.zeros((1, 4)))
+        without = power_method_norm(a, minus=[generic, nothing])
+        with_zero = power_method_norm(a, minus=[generic, exact, nothing])
+        assert with_zero[1] == 0.0
+        assert with_zero[2] == without[1] == 3.0
+        assert abs(with_zero[0] - without[0]) <= 1e-12 * without[0]
+        want = power_method_norm(residual_operator(a, *generic))
+        assert abs(with_zero[0] - want) <= 1e-10 * want
+
+    def test_no_pairs_returns_float(self):
+        a = gaussian_matrix(6, 5, seed=13)
+        assert isinstance(power_method_norm(a), float)
+        assert power_method_norm(a, minus=[(np.zeros((6, 1)), np.zeros((1, 5)))]) == [
+            pytest.approx(power_method_norm(a), rel=1e-12)
+        ]

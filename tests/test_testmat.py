@@ -125,6 +125,14 @@ class TestBuildTestMatrix:
         sig = small_svd(a).sigma
         assert np.all(np.abs(sig - sigma_spectrum(spec)) <= 1e-12)
 
+    @pytest.mark.parametrize("shape", [(32, 64), (64, 32), (37, 50), (50, 37)])
+    def test_fft_build_matches_dense_product(self, shape):
+        spec = TestMatrixSpec(*shape, 2, 1e-3)
+        r = min(shape)
+        sig = sigma_spectrum(spec)
+        dense = dft_matrix(spec.m)[:, :r] @ (sig[:, None] * dft_matrix(spec.n)[:r, :])
+        assert np.max(np.abs(build_test_matrix(spec) - dense)) <= 1e-15
+
     def test_spectral_norm_is_one(self):
         spec = TestMatrixSpec(48, 32, 2, 1e-3)
         assert abs(small_svd(build_test_matrix(spec)).sigma[0] - 1.0) <= 1e-12
