@@ -5,9 +5,11 @@ spectral-norm error of the computed approximation, measured by
 power_method_norm with its defaults (the paper's 100 iterations), and
 t_seconds times the ALS run only (matrix generation and error measurement
 excluded).  The cells of one test matrix are measured together: every ALS
-run is timed first, then a single power_method_norm(a, minus=...) call
-estimates all their epsilons with shared passes over A.  Each estimate
-differs from a standalone measurement of its cell only by rounding.  A
+run is timed first, then a single power_method_norm(op, minus=...) call
+estimates all their epsilons with shared applies of the test matrix.  Each
+estimate differs from a standalone measurement of its cell only by rounding.
+ALS runs on the dense A; a DFT test matrix is measured on dft_operator, the
+exact F Sigma G applied by FFTs, of which the dense A is the rounding.  A
 SuiteConfig is the grid alone; writing records to a file is up to the caller
 (write_csv, write_json).
 """
@@ -15,13 +17,12 @@ SuiteConfig is the grid alone; writing records to a file is up to the caller
 from __future__ import annotations
 
 import json
-import statistics
 import time
 from dataclasses import asdict, dataclass
 
 from .als import AlsConfig, als_run
 from .spectral import power_method_norm
-from .testmat import TestMatrixSpec, build_test_matrix
+from .testmat import TestMatrixSpec, build_test_matrix, dft_operator
 
 CSV_HEADER = "m,n,transform,k,delta,j,seed,epsilon,t_seconds"
 
@@ -48,13 +49,17 @@ class SuiteConfig:
     transform: str = "dft"
 
 
-def _run_matrix(spec: TestMatrixSpec, a, cells) -> list:
+def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     """A record, or the exception that stopped it, for each (j, seed) cell of one matrix.
 
-    Each ALS run is timed alone; the factors are held until one
-    power_method_norm call measures every epsilon.  If that call raises, its
-    exception stands for every cell that reached it.
+    Builds the dense A of ``spec`` (and raises what the build raises), times
+    each ALS run on it alone, and holds the factors until one
+    power_method_norm call measures every epsilon: on dft_operator(spec) for
+    a DFT matrix, with A released first since the operator never reads it,
+    and on A otherwise.  If the measurement raises, its exception stands for
+    every cell that reached it.
     """
+    a = build_test_matrix(spec)
     outcomes: list = [None] * len(cells)
     runs = {}  # cell index -> (factorization, t_seconds)
     for index, (j, seed) in enumerate(cells):
@@ -69,7 +74,9 @@ def _run_matrix(spec: TestMatrixSpec, a, cells) -> list:
     if not runs:
         return outcomes
     try:
-        epsilons = power_method_norm(a, minus=[(f.s, f.t) for f, _ in runs.values()])
+        op = dft_operator(spec) if spec.transform == "dft" else a
+        del a
+        epsilons = power_method_norm(op, minus=[(f.s, f.t) for f, _ in runs.values()])
     except Exception as exc:  # noqa: BLE001
         for index in runs:
             outcomes[index] = exc
@@ -90,11 +97,9 @@ def _run_matrix(spec: TestMatrixSpec, a, cells) -> list:
     return outcomes
 
 
-def run_cell(spec: TestMatrixSpec, j: int, seed: int, a=None) -> ExperimentRecord:
-    """One table cell: build (or reuse) A, time the ALS run, measure epsilon."""
-    if a is None:
-        a = build_test_matrix(spec)
-    (outcome,) = _run_matrix(spec, a, [(j, seed)])
+def run_cell(spec: TestMatrixSpec, j: int, seed: int) -> ExperimentRecord:
+    """One table cell: build A, time the ALS run, measure epsilon."""
+    (outcome,) = _run_matrix(spec, [(j, seed)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -129,36 +134,26 @@ def run_suite(config: SuiteConfig):
     failures: list[dict] = []
     for spec in specs:
         try:
-            a = build_test_matrix(spec)
-        except Exception as exc:  # noqa: BLE001 - recorded, suite continues
+            outcomes = _run_matrix(spec, cells)
+        except Exception as exc:  # noqa: BLE001 - a failed build; recorded, suite continues
             failures.append({"spec": asdict(spec), "error": str(exc)})
             continue
-        for (j, seed), outcome in zip(cells, _run_matrix(spec, a, cells)):
+        for (j, seed), outcome in zip(cells, outcomes):
             if isinstance(outcome, Exception):
                 failures.append({"spec": asdict(spec), "j": j, "seed": seed, "error": str(outcome)})
             else:
                 records.append(outcome)
-        del a
     return records, summarize(records, failures)
 
 
 def summarize(records: list[ExperimentRecord], failures: list[dict]) -> dict:
-    """Max epsilon/delta ratio per iteration count plus a t-versus-(m n) scaling report."""
+    """Max epsilon/delta ratio per iteration count, the failures and the record count."""
     ratios: dict[int, float] = {}
     for rec in records:
         ratio = rec.epsilon / rec.delta
         ratios[rec.j] = max(ratios.get(rec.j, 0.0), ratio)
-    scaling: dict[str, list] = {}
-    by_cell: dict[tuple, list[float]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.k, rec.j, rec.m, rec.n), []).append(rec.t_seconds)
-    for (k, j, m, n), times in sorted(by_cell.items()):
-        scaling.setdefault(f"k={k},j={j}", []).append(
-            {"m": m, "n": n, "entries": m * n, "median_t_seconds": statistics.median(times)}
-        )
     return {
         "max_epsilon_over_delta_by_j": {str(j): ratios[j] for j in sorted(ratios)},
-        "timing_scaling": scaling,
         "failures": failures,
         "n_records": len(records),
     }

@@ -74,8 +74,11 @@ def power_method_norm(op, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED, mi
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     op = aslinearoperator(op)
+    m, n = op.shape
     pairs = [(np.asarray(s), np.asarray(t)) for s, t in minus]
-    adjoints = [(adjoint(s), adjoint(t)) for s, t in pairs]
+    for s, t in pairs:
+        if s.ndim != 2 or t.ndim != 2 or s.shape[0] != m or t.shape != (s.shape[1], n):
+            raise ValueError(f"pair shapes {s.shape} and {t.shape} do not fit a {m}x{n} operator")
     if isinstance(op, MatrixLinearOperator):
         # An array and aslinearoperator(array) take this same path.  Both
         # applies multiply a block of rows into A as stored: for few columns
@@ -91,22 +94,28 @@ def power_method_norm(op, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED, mi
     else:
         forward, backward = op.matmat, op.rmatmat
 
+    # The pairs stacked for one batched matmul per apply, zero-padded to the
+    # widest k: a narrower pair (rank-deficient ALS output) and the empty
+    # stack of a plain call subtract exact zeros.
+    dtype = np.result_type(op.dtype, *(x.dtype for pair in pairs for x in pair))
+    c = max(1, len(pairs))
+    kmax = max((s.shape[1] for s, _ in pairs), default=0)
+    s_stack = np.zeros((c, m, kmax), dtype)
+    t_stack = np.zeros((c, kmax, n), dtype)
+    for i, (s, t) in enumerate(pairs):
+        s_stack[i, :, : s.shape[1]] = s
+        t_stack[i, : t.shape[0]] = t
+
     def apply(v):
-        y = forward(v)
-        if not pairs:
-            return y
-        return y - np.column_stack([s @ (t @ v[:, i]) for i, (s, t) in enumerate(pairs)])
+        return forward(v) - (s_stack @ (t_stack @ v.T[:, :, None]))[:, :, 0].T
 
     def apply_adjoint(u):
-        w = backward(u)
-        if not pairs:
-            return w
-        return w - np.column_stack([th @ (sh @ u[:, i]) for i, (sh, th) in enumerate(adjoints)])
+        # (u^H S) T = (T^H S^H u)^H, so no conjugated copy of a stack is kept.
+        return backward(u) - ((u.conj().T[:, None, :] @ s_stack) @ t_stack)[:, 0, :].conj().T
 
-    dtype = np.result_type(op.dtype, *(x.dtype for pair in pairs for x in pair))
     field = "complex" if np.issubdtype(dtype, np.complexfloating) else "real"
-    v = gaussian_matrix(op.shape[1], 1, seed, field)
-    v = np.repeat(v / frobenius_norm(v), max(1, len(pairs)), axis=1)
+    v = gaussian_matrix(n, 1, seed, field)
+    v = np.repeat(v / frobenius_norm(v), c, axis=1)
     for _ in range(n_iters):
         v = _normalize_columns(apply_adjoint(_normalize_columns(apply(v))))
     estimates = [float(x) for x in _column_norms(apply(v))]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .matrix import gaussian_matrix
 
@@ -111,3 +112,34 @@ def build_test_matrix(spec: TestMatrixSpec, memory_budget: int = MEMORY_BUDGET) 
     f_cols = real_orthogonal_matrix(m, spec.seed)[:, :r]
     g_rows = real_orthogonal_matrix(n, spec.seed + 1)[:r, :]
     return f_cols @ (sig[:, None] * g_rows)
+
+
+def dft_operator(spec: TestMatrixSpec) -> LinearOperator:
+    """The DFT test matrix F Sigma G as an operator applied by FFTs.
+
+    It is the exact product, never materialized: A V is the n-point FFT down
+    the columns of V, scaled by sigma on its first min(m, n) rows and zero
+    padded to an m-point FFT; A^H U runs the inverse transforms the same way.
+    An apply costs O((m log m + n log n) c) for c columns, against O(m n c)
+    on the dense build, which is the rounding of this operator.
+    """
+    if spec.transform != "dft":
+        raise ValueError(f"dft_operator needs the dft transform, got {spec.transform!r}")
+    m, n = spec.m, spec.n
+    r = min(m, n)
+    sig = sigma_spectrum(spec)[:, None]
+
+    def matmat(v):
+        return np.fft.fft(sig * np.fft.fft(v, axis=0, norm="ortho")[:r], n=m, axis=0, norm="ortho")
+
+    def rmatmat(u):
+        return np.fft.ifft(sig * np.fft.ifft(u, axis=0, norm="ortho")[:r], n=n, axis=0, norm="ortho")
+
+    return LinearOperator(
+        (m, n),
+        matvec=lambda v: matmat(v.reshape(n, 1)),
+        rmatvec=lambda u: rmatmat(u.reshape(m, 1)),
+        matmat=matmat,
+        rmatmat=rmatmat,
+        dtype=np.complex128,
+    )

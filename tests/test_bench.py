@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.bench import (
     CSV_HEADER,
     ExperimentRecord,
@@ -14,6 +16,8 @@ from lowrank_als.bench import (
     write_csv,
     write_json,
 )
+from lowrank_als.matrix import small_svd
+from lowrank_als.spectral import power_method_norm
 from lowrank_als.testmat import TestMatrixSpec, build_test_matrix
 
 SMALL_SPEC = TestMatrixSpec(32, 64, 2, 1e-3)
@@ -41,10 +45,13 @@ class TestRunCell:
         assert 0.99 * rec.delta <= rec.epsilon <= 1.25 * rec.delta
 
     def test_matrix_reuse_matches_fresh_build(self):
-        a = build_test_matrix(SMALL_SPEC)
-        rec_cached = run_cell(SMALL_SPEC, j=1, seed=3, a=a)
+        # run_suite shares one build among the cells of a matrix and run_cell
+        # makes its own; builds of one spec are identical, so a one-cell suite
+        # gives run_cell's epsilon exactly.
+        assert np.array_equal(build_test_matrix(SMALL_SPEC), build_test_matrix(SMALL_SPEC))
+        (rec_suite,), _ = run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(1,), seeds=(3,)))
         rec_fresh = run_cell(SMALL_SPEC, j=1, seed=3)
-        assert rec_cached.epsilon == rec_fresh.epsilon
+        assert rec_suite.epsilon == rec_fresh.epsilon
 
 
 class TestRunSuite:
@@ -90,10 +97,9 @@ class TestRunSuite:
         assert "boom" in summary["failures"][0]["error"]
 
     def test_shared_measurement_matches_cells(self):
-        a = build_test_matrix(SMALL_SPEC)
         records, _ = run_suite(SMALL_SUITE)
         for rec in records:
-            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed, a=a).epsilon
+            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
             assert abs(rec.epsilon - want) <= 1e-12 * want
 
     def test_failed_als_cell_keeps_matrix_measured(self, monkeypatch):
@@ -112,9 +118,8 @@ class TestRunSuite:
         (failure,) = summary["failures"]
         assert (failure["j"], failure["seed"], failure["error"]) == (2, 1, "boom")
         monkeypatch.undo()
-        a = build_test_matrix(SMALL_SPEC)
         for rec in records:
-            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed, a=a).epsilon
+            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
             assert abs(rec.epsilon - want) <= 1e-12 * want
 
     def test_failed_measurement_fails_its_cells(self, monkeypatch):
@@ -135,6 +140,53 @@ class TestRunSuite:
         ratios = summary["max_epsilon_over_delta_by_j"]
         assert set(ratios) == {"0", "2"}
         assert ratios["2"] < ratios["0"]
+
+
+OPERATOR_SUITE = SuiteConfig(
+    sizes=((512, 1024),),
+    rank_deltas=((2, 1e-3), (10, 1e-3), (2, 1e-11), (10, 1e-11)),
+    iteration_counts=(0, 2, 10),
+    seeds=(0,),
+)
+
+# The bench measures a DFT matrix on the exact F Sigma G; the dense A is its
+# rounding, ||A - F Sigma G||_2 <= about log2(m n) * eps * ||A|| (19 at
+# 512x1024), and forming A - S T and its SVD add a few eps * ||A|| more.
+# ||A|| = 1 here.
+ROUNDING_ALLOWANCE = 32 * np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def operator_cells():
+    """(record, dense-A epsilon, dense-SVD truth) per cell of OPERATOR_SUITE."""
+    records, summary = run_suite(OPERATOR_SUITE)
+    assert not summary["failures"]
+    cells = []
+    for k, delta in OPERATOR_SUITE.rank_deltas:
+        recs = [r for r in records if (r.k, r.delta) == (k, delta)]
+        a = build_test_matrix(TestMatrixSpec(512, 1024, k, delta))
+        facts = [als_run(a, AlsConfig(rank_k=k, iterations_j=r.j, seed=r.seed)) for r in recs]
+        dense = power_method_norm(a, minus=[(f.s, f.t) for f in facts])
+        truths = [small_svd(a - f.s @ f.t).sigma[0] for f in facts]
+        cells.extend(zip(recs, dense, truths))
+    return cells
+
+
+class TestOperatorMeasurement:
+    def test_matches_dense_measurement(self, operator_cells):
+        for rec, dense, _ in operator_cells:
+            tol = 1e-12 if rec.delta == 1e-3 else 1e-5
+            assert abs(rec.epsilon - dense) <= tol * dense
+
+    def test_at_most_dense_svd_truth(self, operator_cells):
+        for rec, _, truth in operator_cells:
+            assert rec.epsilon <= truth + ROUNDING_ALLOWANCE
+
+    def test_truth_near_optimal_from_two_iterations(self, operator_cells):
+        assert sum(rec.j >= 2 for rec, _, _ in operator_cells) == 8
+        for rec, _, truth in operator_cells:
+            if rec.j >= 2:
+                assert truth / rec.delta <= 1.05
 
 
 class TestOutputFormats:

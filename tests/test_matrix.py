@@ -13,9 +13,8 @@ from lowrank_als.matrix import (
     orthonormal_basis,
     small_svd,
 )
-from lowrank_als.verify import RankDeficientError, lstsq_solve, lstsq_solve_right, projector
 
-from oracles import hermitian_eigenvalues, normal_equations_solve, normal_equations_solve_right
+from oracles import hermitian_eigenvalues
 
 
 class TestValidation:
@@ -64,59 +63,6 @@ class TestGaussian:
             gaussian_matrix(2, 2, seed=0, field="quaternion")
 
 
-class TestLstsq:
-    def test_orthonormal_shortcut(self):
-        q = np.linalg.qr(gaussian_matrix(6, 2, seed=4))[0]
-        a = gaussian_matrix(6, 3, seed=5)
-        assert np.allclose(lstsq_solve(q, a), adjoint(q) @ a, atol=1e-13)
-
-    def test_mean_of_two(self):
-        s = np.array([[1.0], [1.0]])
-        a = np.array([[1.0], [3.0]])
-        assert np.allclose(lstsq_solve(s, a), [[2.0]])
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_matches_normal_equations(self, field):
-        s = gaussian_matrix(5, 2, seed=11, field=field)
-        a = gaussian_matrix(5, 3, seed=111, field=field)
-        t = lstsq_solve(s, a)
-        want = normal_equations_solve(s, a)
-        assert frobenius_norm(t - want) <= 1e-12 * frobenius_norm(want)
-
-    def test_rank_deficient_raises(self):
-        s = np.ones((4, 2))
-        with pytest.raises(RankDeficientError, match="rank-deficient least-squares operand"):
-            lstsq_solve(s, np.ones((4, 1)))
-
-    def test_rank_deficient_fallback_matches_pinv(self):
-        s = np.ones((4, 2))
-        a = gaussian_matrix(4, 3, seed=12)
-        got = lstsq_solve(s, a, rank_deficient_ok=True)
-        want = np.linalg.pinv(s) @ a
-        assert np.allclose(got, want, atol=1e-12)
-
-
-class TestLstsqRight:
-    def test_orthonormal_rows(self):
-        q = np.linalg.qr(gaussian_matrix(5, 2, seed=6))[0]
-        t = adjoint(q)
-        a = gaussian_matrix(3, 5, seed=7)
-        assert np.allclose(lstsq_solve_right(t, a), a @ adjoint(t), atol=1e-13)
-
-    def test_mean_of_two(self):
-        t = np.array([[1.0, 1.0]])
-        a = np.array([[1.0, 3.0]])
-        assert np.allclose(lstsq_solve_right(t, a), [[2.0]])
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_matches_normal_equations(self, field):
-        t = gaussian_matrix(2, 5, seed=12, field=field)
-        a = gaussian_matrix(3, 5, seed=121, field=field)
-        s = lstsq_solve_right(t, a)
-        want = normal_equations_solve_right(t, a)
-        assert frobenius_norm(s - want) <= 1e-12 * frobenius_norm(want)
-
-
 class TestSmallSvd:
     def test_diagonal(self):
         res = small_svd(np.diag([3.0, 1.0]))
@@ -157,28 +103,6 @@ class TestSmallSvd:
         assert frobenius_norm(adjoint(res.v) @ res.v - np.eye(4)) <= 1e-12
         recon = res.u @ np.diag(res.sigma) @ adjoint(res.v)
         assert frobenius_norm(recon - m) / frobenius_norm(m) <= 1e-11
-
-
-class TestProjector:
-    def test_unit_column(self):
-        e1 = np.zeros((4, 1))
-        e1[0, 0] = 1.0
-        assert np.allclose(projector(e1), np.diag([1.0, 0, 0, 0]))
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_column_space_invariance(self, field):
-        m = gaussian_matrix(6, 2, seed=9, field=field)
-        c = gaussian_matrix(2, 2, seed=10, field=field)
-        assert abs(np.linalg.det(c)) > 1e-6
-        assert frobenius_norm(projector(m) - projector(m @ c)) <= 1e-10
-
-    def test_idempotent_self_adjoint(self):
-        p = projector(gaussian_matrix(6, 2, seed=9))
-        assert frobenius_norm(p @ p - p) <= 1e-12
-        assert frobenius_norm(adjoint(p) - p) <= 1e-12
-
-    def test_zero_matrix(self):
-        assert np.array_equal(projector(np.zeros((3, 2))), np.zeros((3, 3)))
 
 
 class TestNormsAndAdjoint:

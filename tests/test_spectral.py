@@ -168,6 +168,14 @@ class TestSharedMeasurement:
         want = power_method_norm(residual_operator(a, *generic))
         assert abs(with_zero[0] - want) <= 1e-10 * want
 
+    def test_mismatched_pair_rejected(self):
+        # A one-row S would broadcast into the m-row stack without this check.
+        a = gaussian_matrix(6, 5, seed=14)
+        s, t = gaussian_matrix(6, 2, seed=15), gaussian_matrix(2, 5, seed=16)
+        for bad in [(s[:1], t), (s, t[:, :1]), (s, t[:1]), (s[:, 0], t)]:
+            with pytest.raises(ValueError, match="do not fit"):
+                power_method_norm(a, minus=[bad])
+
     def test_no_pairs_returns_float(self):
         a = gaussian_matrix(6, 5, seed=13)
         assert isinstance(power_method_norm(a), float)

@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from lowrank_als.matrix import adjoint, frobenius_norm, small_svd
+from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.testmat import (
     MemoryBudgetError,
     TestMatrixSpec,
     build_test_matrix,
     dft_matrix,
+    dft_operator,
     real_orthogonal_matrix,
     sigma_spectrum,
 )
@@ -146,3 +147,22 @@ class TestBuildTestMatrix:
         with pytest.raises(MemoryBudgetError) as err:
             build_test_matrix(spec, memory_budget=1000)
         assert err.value.required_bytes > 1000
+
+
+class TestDftOperator:
+    @pytest.mark.parametrize("shape", [(32, 64), (64, 32), (37, 50), (50, 37)])
+    def test_applies_match_dense_build(self, shape):
+        spec = TestMatrixSpec(*shape, 2, 1e-3)
+        a = build_test_matrix(spec)
+        op = dft_operator(spec)
+        assert op.shape == a.shape and op.dtype == np.complex128
+        v = gaussian_matrix(spec.n, 3, seed=1, field="complex")
+        u = gaussian_matrix(spec.m, 3, seed=2, field="complex")
+        assert np.max(np.abs(op.matmat(v) - a @ v)) <= 1e-15
+        assert np.max(np.abs(op.rmatmat(u) - adjoint(a) @ u)) <= 1e-15
+        assert np.max(np.abs(op.matvec(v[:, 0]) - a @ v[:, 0])) <= 1e-15
+        assert np.max(np.abs(op.rmatvec(u[:, 0]) - adjoint(a) @ u[:, 0])) <= 1e-15
+
+    def test_real_orthogonal_rejected(self):
+        with pytest.raises(ValueError, match="dft"):
+            dft_operator(TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal"))
