@@ -1,6 +1,6 @@
 """The verification-only kernels of verify.py: the textbook (never
 re-orthonormalized) ALS half-steps that are the reference for the unrolled
-recurrence, their least-squares solves and the orthogonal projector."""
+recurrence, and their least-squares solves."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from lowrank_als.verify import (
     _raw_iterates,
     lstsq_solve,
     lstsq_solve_right,
-    projector,
 )
 
 from oracles import normal_equations_solve, normal_equations_solve_right
@@ -106,25 +105,3 @@ class TestLstsqRight:
         s = lstsq_solve_right(t, a)
         want = normal_equations_solve_right(t, a)
         assert frobenius_norm(s - want) <= 1e-12 * frobenius_norm(want)
-
-
-class TestProjector:
-    def test_unit_column(self):
-        e1 = np.zeros((4, 1))
-        e1[0, 0] = 1.0
-        assert np.allclose(projector(e1), np.diag([1.0, 0, 0, 0]))
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_column_space_invariance(self, field):
-        m = gaussian_matrix(6, 2, seed=9, field=field)
-        c = gaussian_matrix(2, 2, seed=10, field=field)
-        assert abs(np.linalg.det(c)) > 1e-6
-        assert frobenius_norm(projector(m) - projector(m @ c)) <= 1e-10
-
-    def test_idempotent_self_adjoint(self):
-        p = projector(gaussian_matrix(6, 2, seed=9))
-        assert frobenius_norm(p @ p - p) <= 1e-12
-        assert frobenius_norm(adjoint(p) - p) <= 1e-12
-
-    def test_zero_matrix(self):
-        assert np.array_equal(projector(np.zeros((3, 2))), np.zeros((3, 3)))
