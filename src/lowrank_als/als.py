@@ -114,24 +114,38 @@ def als_update_s(state: AlsState) -> AlsState:
     return state
 
 
+def als_trajectory(a, config: AlsConfig):
+    """Yield the Factorization (S_i, T_i) after each T-update, i = 0..iterations_j.
+
+    One iteration from one random start: the value yielded at i is, bit for
+    bit, als_run with iterations_j = i, so a caller that needs several
+    iteration counts of one seed runs the iteration once.  Each value's
+    iterations_j is i and its error trace, when tracked, is the trace so far.
+    """
+    state = als_init(a, config)
+    for i in range(config.iterations_j + 1):
+        if i:
+            als_update_s(state)
+        als_update_t(state)
+        yield Factorization(
+            s=state.s,
+            t=state.t,
+            iterations_j=i,
+            seed=config.seed,
+            frobenius_error_trace=list(state.error_trace) if config.track_errors else None,
+        )
+
+
 def als_run(a, config: AlsConfig) -> Factorization:
     """Run exactly ``iterations_j`` S-updates and finish with a T-update.
 
     The output is (S_j, T_j): T is always optimal for the final S.  With
     iterations_j = 0 this is the pure random-projection baseline (S_0, T_0).
+    It is the last value of als_trajectory.
     """
-    state = als_init(a, config)
-    for _ in range(config.iterations_j):
-        als_update_t(state)
-        als_update_s(state)
-    als_update_t(state)
-    return Factorization(
-        s=state.s,
-        t=state.t,
-        iterations_j=config.iterations_j,
-        seed=config.seed,
-        frobenius_error_trace=list(state.error_trace) if config.track_errors else None,
-    )
+    for factorization in als_trajectory(a, config):
+        pass
+    return factorization
 
 
 def approximation_error(a, factorization: Factorization, norm: str = "spectral") -> float:

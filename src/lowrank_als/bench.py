@@ -2,12 +2,16 @@
 
 Each record is one table row (j, k, delta, epsilon, t): epsilon is the
 spectral-norm error of the computed approximation, measured by
-power_method_norm with its defaults (the paper's 100 iterations), and
-t_seconds times the ALS run only (matrix generation and error measurement
-excluded).  The cells of one test matrix are measured together: every ALS
-run is timed first, then a single power_method_norm(op, minus=...) call
-estimates all their epsilons with shared applies of the test matrix.  Each
-estimate differs from a standalone measurement of its cell only by rounding.
+power_method_norm with its defaults (the paper's 100 iterations).  As in the
+paper's table, every j of one seed comes from the same random start, so each
+seed runs one ALS trajectory (als_trajectory) to its largest j, and a cell
+keeps the factors at its own j.  t_seconds is the time along that shared
+trajectory up to T_j, the same operations as a standalone run of the cell
+(matrix generation and error measurement excluded).  The cells of one test
+matrix are measured together: after the trajectories, a single
+power_method_norm(op, minus=...) call estimates all their epsilons with
+shared applies of the test matrix.  Each estimate differs from a standalone
+measurement of its cell only by rounding.
 ALS runs on the dense A; a DFT test matrix is measured on dft_operator, the
 exact F Sigma G applied by FFTs, of which the dense A is the rounding.  A
 SuiteConfig is the grid alone; writing records to a file is up to the caller
@@ -20,7 +24,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 
-from .als import AlsConfig, als_run
+from .als import AlsConfig, als_trajectory
 from .spectral import power_method_norm
 from .testmat import TestMatrixSpec, build_test_matrix, dft_operator
 
@@ -52,25 +56,35 @@ class SuiteConfig:
 def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     """A record, or the exception that stopped it, for each (j, seed) cell of one matrix.
 
-    Builds the dense A of ``spec`` (and raises what the build raises), times
-    each ALS run on it alone, and holds the factors until one
-    power_method_norm call measures every epsilon: on dft_operator(spec) for
-    a DFT matrix, with A released first since the operator never reads it,
-    and on A otherwise.  If the measurement raises, its exception stands for
-    every cell that reached it.
+    Builds the dense A of ``spec`` (and raises what the build raises), runs
+    one ALS trajectory per seed on it, up to the seed's largest j, and keeps
+    each cell's factors at its own j; its t_seconds runs from the start of
+    the trajectory to the moment its T_j exists, the operations of a
+    standalone run of that cell.  A trajectory that raises at step i fails
+    the cells with j >= i.  One power_method_norm call then measures every
+    epsilon: on dft_operator(spec) for a DFT matrix, with A released first
+    since the operator never reads it, and on A otherwise.  If the
+    measurement raises, its exception stands for every cell that reached it.
     """
     a = build_test_matrix(spec)
     outcomes: list = [None] * len(cells)
     runs = {}  # cell index -> (factorization, t_seconds)
-    for index, (j, seed) in enumerate(cells):
-        config = AlsConfig(rank_k=spec.k, iterations_j=j, seed=seed)
+    by_seed: dict[int, list[int]] = {}
+    for index, (_, seed) in enumerate(cells):
+        by_seed.setdefault(seed, []).append(index)
+    for seed, pending in by_seed.items():
+        pending.sort(key=lambda index: cells[index][0], reverse=True)
+        config = AlsConfig(rank_k=spec.k, iterations_j=cells[pending[0]][0], seed=seed)
         t0 = time.perf_counter()
         try:
-            factorization = als_run(a, config)
+            for factorization in als_trajectory(a, config):
+                t_seconds = time.perf_counter() - t0
+                while pending and cells[pending[-1]][0] == factorization.iterations_j:
+                    runs[pending.pop()] = (factorization, t_seconds)
         except Exception as exc:  # noqa: BLE001 - the caller records or raises it
-            outcomes[index] = exc
-            continue
-        runs[index] = (factorization, time.perf_counter() - t0)
+            for index in pending:
+                outcomes[index] = exc
+    runs = dict(sorted(runs.items()))  # cell order, the order of the measured pairs
     if not runs:
         return outcomes
     try:
@@ -114,6 +128,8 @@ def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
         raise ValueError("iteration_counts must be nonempty")
     if not config.seeds:
         raise ValueError("seeds must be nonempty")
+    if min(config.iteration_counts) < 0:
+        raise ValueError("iteration_counts must be nonnegative")
     specs = []
     for m, n in config.sizes:
         for k, delta in config.rank_deltas:

@@ -8,6 +8,7 @@ dense array is accepted wherever an operator is.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 from scipy.sparse.linalg._interface import MatrixLinearOperator
 
@@ -38,8 +39,10 @@ def residual_operator(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> LinearOper
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
-    # BLAS nrm2 per column: np.linalg.norm(axis=0) squares the entries.
-    return np.array([frobenius_norm(x[:, i]) for i in range(x.shape[1])])
+    # BLAS nrm2 per column, the routine frobenius_norm calls, looked up once
+    # and given contiguous columns: np.linalg.norm(axis=0) squares the entries.
+    nrm2 = get_blas_funcs("nrm2", dtype=x.dtype, ilp64="preferred")
+    return np.array([nrm2(column) for column in np.ascontiguousarray(x.T)])
 
 
 def _normalize_columns(x: np.ndarray) -> np.ndarray:

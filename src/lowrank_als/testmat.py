@@ -10,6 +10,7 @@ rank-k spectral error is exactly delta and the spectral norm of A is 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,25 +91,30 @@ def build_test_matrix(spec: TestMatrixSpec, memory_budget: int = MEMORY_BUDGET) 
     """Materialize A = F Sigma G.
 
     Only the first min(m, n) columns of F and rows of G contribute.  For the
-    DFT, F Sigma is the m-point FFT down the columns of diag(sigma) padded to
-    m rows, and multiplying by G is the n-point FFT along each row padded to n
-    columns (the DFT is symmetric); dft_matrix is the dense oracle.  Singular
-    values of the result equal sigma_spectrum(spec) by unitary invariance.
+    DFT, entry (p, c) is sum_q sigma_q exp(-2 pi i q (p/m + c/n)) / sqrt(m n),
+    which depends only on (p L/m + c L/n) mod L with L = lcm(m, n): it is
+    entry (p L/m + c L/n) of h, h repeated twice, where h is the L-point FFT
+    of sigma scaled by 1/sqrt(m n).  So A is one FFT and a strided copy of
+    [h, h]; dft_matrix is the dense oracle.  Singular values of the result
+    equal sigma_spectrum(spec) by unitary invariance.
     """
     m, n = spec.m, spec.n
     r = min(m, n)
     if spec.transform == "dft":
-        # Bound on the working set: the real r-by-r diag(sigma), the m-by-r
-        # F Sigma and the m-by-n result.
-        required = r * r * 8 + (m * r + m * n) * 16
+        period = math.lcm(m, n)  # L
+        # The working set: the real sigma, [h, h] and the m-by-n result; the
+        # L-entry temporaries of h are freed before the result exists.
+        required = r * 8 + (2 * period + m * n) * 16
     else:
         required = (m * r + 2 * r * n + m * n) * 8
     if required > memory_budget:
         raise MemoryBudgetError(required, memory_budget)
     sig = sigma_spectrum(spec)
     if spec.transform == "dft":
-        f_sigma = np.fft.fft(np.diag(sig), n=m, axis=0, norm="ortho")
-        return np.fft.fft(f_sigma, n=n, axis=1, norm="ortho")
+        hh = np.tile(np.fft.fft(sig, n=period) / math.sqrt(m * n), 2)
+        # Row p starts at p L/m < L and steps by L/n, so it ends before 2 L.
+        strides = ((period // m) * hh.itemsize, (period // n) * hh.itemsize)
+        return np.lib.stride_tricks.as_strided(hh, (m, n), strides, writeable=False).copy()
     f_cols = real_orthogonal_matrix(m, spec.seed)[:, :r]
     g_rows = real_orthogonal_matrix(n, spec.seed + 1)[:r, :]
     return f_cols @ (sig[:, None] * g_rows)

@@ -7,6 +7,7 @@ from lowrank_als.als import (
     AlsConfig,
     als_init,
     als_run,
+    als_trajectory,
     als_update_s,
     als_update_t,
     approximation_error,
@@ -189,6 +190,41 @@ class TestRun:
         for norm in ("spectral", "frobenius"):
             want = approximation_error(base, base_fact, norm)
             assert abs(approximation_error(a, fact, norm) / c - want) <= 1e-10 * want
+
+
+def _half_step_run(a, cfg):
+    """(S_j, T_j) and the error trace from the half-steps themselves."""
+    state = als_init(a, cfg)
+    for _ in range(cfg.iterations_j):
+        als_update_t(state)
+        als_update_s(state)
+    als_update_t(state)
+    return state
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize(
+        "a, k",
+        [
+            (gaussian_matrix(12, 9, seed=30), 3),
+            (gaussian_matrix(9, 12, seed=31, field="complex"), 3),
+            # rank(A) = 2 < k = 4: every iterate has two columns.
+            (gaussian_matrix(12, 2, seed=32) @ gaussian_matrix(2, 9, seed=33), 4),
+        ],
+        ids=["real", "complex", "rank_below_k"],
+    )
+    def test_prefixes_equal_standalone_runs(self, a, k):
+        big_j = 4
+        trajectory = list(als_trajectory(a, AlsConfig(rank_k=k, iterations_j=big_j, seed=34, track_errors=True)))
+        assert [f.iterations_j for f in trajectory] == list(range(big_j + 1))
+        for i, got in enumerate(trajectory):
+            cfg = AlsConfig(rank_k=k, iterations_j=i, seed=34, track_errors=True)
+            want = als_run(a, cfg)
+            state = _half_step_run(a, cfg)
+            assert np.array_equal(got.s, want.s) and np.array_equal(got.t, want.t)
+            assert np.array_equal(got.s, state.s) and np.array_equal(got.t, state.t)
+            assert got.frobenius_error_trace == want.frobenius_error_trace == state.error_trace
+            assert got.s.shape[1] == min(k, np.linalg.matrix_rank(a))
 
 
 class TestApproximationError:

@@ -103,16 +103,16 @@ class TestRunSuite:
             assert abs(rec.epsilon - want) <= 1e-12 * want
 
     def test_failed_als_cell_keeps_matrix_measured(self, monkeypatch):
-        import lowrank_als.bench as bench
+        import lowrank_als.als as als
 
-        real_als_run = bench.als_run
-
-        def flaky(a, config):
-            if (config.iterations_j, config.seed) == (2, 1):
+        def flaky(state):
+            # Seed 1's first S-update, so its j = 0 cell is already recorded.
+            if state.config.seed == 1:
                 raise RuntimeError("boom")
-            return real_als_run(a, config)
+            return real_update_s(state)
 
-        monkeypatch.setattr(bench, "als_run", flaky)
+        real_update_s = als.als_update_s
+        monkeypatch.setattr(als, "als_update_s", flaky)
         records, summary = run_suite(SMALL_SUITE)
         assert [(r.j, r.seed) for r in records] == [(0, 0), (0, 1), (2, 0)]
         (failure,) = summary["failures"]
@@ -121,6 +121,27 @@ class TestRunSuite:
         for rec in records:
             want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
             assert abs(rec.epsilon - want) <= 1e-12 * want
+
+    def test_cells_of_a_seed_share_one_trajectory(self, monkeypatch):
+        import lowrank_als.bench as bench
+
+        runs = []
+
+        def counted(a, config):
+            runs.append(config)
+            return real_trajectory(a, config)
+
+        real_trajectory = bench.als_trajectory
+        monkeypatch.setattr(bench, "als_trajectory", counted)
+        records, _ = run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(2, 0, 1)))
+        assert [(c.iterations_j, c.seed) for c in runs] == [(2, 0), (2, 1)]
+        for seed in (0, 1):
+            times = [r.t_seconds for j in (0, 1, 2) for r in records if (r.j, r.seed) == (j, seed)]
+            assert 0 < times[0] < times[1] < times[2]
+
+    def test_negative_iteration_count_rejected(self):
+        with pytest.raises(ValueError, match="iteration_counts"):
+            run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(0, -1)))
 
     def test_failed_measurement_fails_its_cells(self, monkeypatch):
         import lowrank_als.bench as bench

@@ -13,7 +13,6 @@ from lowrank_als.matrix import (
     orthonormal_basis,
     small_svd,
 )
-from lowrank_als.verify import projector
 
 from oracles import hermitian_eigenvalues
 
@@ -104,28 +103,6 @@ class TestSmallSvd:
         assert frobenius_norm(adjoint(res.v) @ res.v - np.eye(4)) <= 1e-12
         recon = res.u @ np.diag(res.sigma) @ adjoint(res.v)
         assert frobenius_norm(recon - m) / frobenius_norm(m) <= 1e-11
-
-
-class TestProjector:
-    def test_unit_column(self):
-        e1 = np.zeros((4, 1))
-        e1[0, 0] = 1.0
-        assert np.allclose(projector(e1), np.diag([1.0, 0, 0, 0]))
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_column_space_invariance(self, field):
-        m = gaussian_matrix(6, 2, seed=9, field=field)
-        c = gaussian_matrix(2, 2, seed=10, field=field)
-        assert abs(np.linalg.det(c)) > 1e-6
-        assert frobenius_norm(projector(m) - projector(m @ c)) <= 1e-10
-
-    def test_idempotent_self_adjoint(self):
-        p = projector(gaussian_matrix(6, 2, seed=9))
-        assert frobenius_norm(p @ p - p) <= 1e-12
-        assert frobenius_norm(adjoint(p) - p) <= 1e-12
-
-    def test_zero_matrix(self):
-        assert np.array_equal(projector(np.zeros((3, 2))), np.zeros((3, 3)))
 
 
 class TestNormsAndAdjoint:

@@ -41,10 +41,12 @@ def test_traced_pass_counts(spans, tmp_path):
         tracer.end_pass(1.0)
     assert len(records) == 2 and not summary["failures"]
     metrics = tracer.layer_metrics()
-    # Cells j=0 and j=2 take 1 + 5 half-steps; the tracked run with j=1 takes 3.
-    assert metrics["als.half_steps"] == 9
-    # One sketch per run, one pass per half-step, one more per tracked half-step.
-    assert metrics["als.passes_over_a"] == (2 + 6) + (1 + 2 * 3)
+    # Cells j=0 and j=2 of one seed share one trajectory of 5 half-steps; the
+    # tracked run with j=1 takes 3.
+    assert metrics["als.half_steps"] == 8
+    # One sketch per trajectory, one pass per half-step, one more per tracked
+    # half-step.
+    assert metrics["als.passes_over_a"] == (1 + 5) + (1 + 2 * 3)
     # Both cells of the one matrix share one measurement of 100 power
     # iterations: 2 * 100 + 1 passes over the complex 32x64 A.
     assert metrics["spectral.passes_over_a"] == 201

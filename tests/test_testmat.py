@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from lowrank_als.cli import PAPER_SIZES
 from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.testmat import (
+    MEMORY_BUDGET,
     MemoryBudgetError,
     TestMatrixSpec,
     build_test_matrix,
@@ -126,7 +129,8 @@ class TestBuildTestMatrix:
         sig = small_svd(a).sigma
         assert np.all(np.abs(sig - sigma_spectrum(spec)) <= 1e-12)
 
-    @pytest.mark.parametrize("shape", [(32, 64), (64, 32), (37, 50), (50, 37)])
+    # (7, 11) is coprime, so L = lcm(m, n) = m n; (45, 30) has gcd 15 and m > n.
+    @pytest.mark.parametrize("shape", [(32, 64), (64, 32), (37, 50), (50, 37), (7, 11), (45, 30)])
     def test_fft_build_matches_dense_product(self, shape):
         spec = TestMatrixSpec(*shape, 2, 1e-3)
         r = min(shape)
@@ -147,6 +151,23 @@ class TestBuildTestMatrix:
         with pytest.raises(MemoryBudgetError) as err:
             build_test_matrix(spec, memory_budget=1000)
         assert err.value.required_bytes > 1000
+
+    @pytest.mark.parametrize("shape", [(32, 64), (7, 11), (45, 30)])
+    def test_dft_memory_bound_is_exact(self, shape):
+        # sigma (real), [h, h] with 2 lcm(m, n) entries and the m-by-n result.
+        m, n = shape
+        spec = TestMatrixSpec(m, n, 2, 1e-3)
+        required = min(m, n) * 8 + (2 * math.lcm(m, n) + m * n) * 16
+        with pytest.raises(MemoryBudgetError) as err:
+            build_test_matrix(spec, memory_budget=required - 1)
+        assert err.value.required_bytes == required
+        assert build_test_matrix(spec, memory_budget=required).shape == shape
+
+    def test_paper_sizes_fit_default_budget(self):
+        for m, n in PAPER_SIZES:  # the sizes of als-bench --full
+            with pytest.raises(MemoryBudgetError) as err:
+                build_test_matrix(TestMatrixSpec(m, n, 10, 1e-3), memory_budget=0)
+            assert err.value.required_bytes <= MEMORY_BUDGET
 
 
 class TestDftOperator:
