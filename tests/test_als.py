@@ -215,7 +215,8 @@ class TestTrajectory:
     )
     def test_prefixes_equal_standalone_runs(self, a, k):
         big_j = 4
-        trajectory = list(als_trajectory(a, AlsConfig(rank_k=k, iterations_j=big_j, seed=34, track_errors=True)))
+        config = AlsConfig(rank_k=k, iterations_j=big_j, seed=34, track_errors=True)
+        trajectory = list(als_trajectory(a, config))
         assert [f.iterations_j for f in trajectory] == list(range(big_j + 1))
         for i, got in enumerate(trajectory):
             cfg = AlsConfig(rank_k=k, iterations_j=i, seed=34, track_errors=True)
