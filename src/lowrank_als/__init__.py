@@ -2,7 +2,6 @@
 
 from .als import (
     AlsConfig,
-    AlsState,
     Factorization,
     als_init,
     als_run,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlsConfig",
-    "AlsState",
     "DEFAULT_POWER_SEED",
     "DENSE_SVD_BUDGET",
     "ExperimentRecord",

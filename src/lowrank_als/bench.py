@@ -3,12 +3,15 @@
 Each record is one table row (j, k, delta, epsilon, t): epsilon is the
 spectral-norm error of the computed approximation, measured by
 power_method_norm with its defaults (the paper's 100 iterations).  As in the
-paper's table, every j of one seed comes from the same random start, so each
-seed runs one ALS trajectory (als_trajectory) to its largest j, and a cell
-keeps the factors at its own j.  t_seconds is the time along that shared
-trajectory up to T_j, the same operations as a standalone run of the cell
-(matrix generation and error measurement excluded).  The cells of one test
-matrix are measured together: after the trajectories, a single
+paper's table, every j of one seed comes from the same random start, and the
+seeds of one test matrix run as one ALS batch (als_trajectories) up to the
+largest j: each half-step is one product with A for all seeds, and a cell
+keeps its seed's factors at its own j.  A cell's t_seconds is its share of
+the batch: the batch's time from the start of its sketch to T_j, divided by
+the number of seeds (matrix generation and error measurement excluded).
+Batching pays most where a product with few columns is slowest, as for
+als-bench --full at k = 2 (figures in als.py).  The cells of one test matrix
+are measured together: after the batch, a single
 power_method_norm(op, minus=...) call estimates all their epsilons with
 shared applies of the test matrix.  Each estimate differs from a standalone
 measurement of its cell only by rounding.
@@ -24,7 +27,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 
-from .als import AlsConfig, als_trajectory
+from .als import AlsConfig, als_trajectories
 from .spectral import power_method_norm
 from .testmat import TestMatrixSpec, build_test_matrix, dft_operator
 
@@ -57,11 +60,12 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     """A record, or the exception that stopped it, for each (j, seed) cell of one matrix.
 
     Builds the dense A of ``spec`` (and raises what the build raises), runs
-    one ALS trajectory per seed on it, up to the seed's largest j, and keeps
-    each cell's factors at its own j; its t_seconds runs from the start of
-    the trajectory to the moment its T_j exists, the operations of a
-    standalone run of that cell.  A trajectory that raises at step i fails
-    the cells with j >= i.  One power_method_norm call then measures every
+    the cells' seeds as one ALS batch on it, up to the largest j, and keeps
+    each cell's factors at its own j.  Its t_seconds is the batch's time from
+    the start of the sketch to the moment T_j exists, divided by the number
+    of seeds: a one-seed batch makes the operations of a standalone run of
+    the cell.  A half-step that raises at step i fails the cells with j >= i
+    of every seed.  One power_method_norm call then measures every
     epsilon: on dft_operator(spec) for a DFT matrix, with A released first
     since the operator never reads it, and on A otherwise.  If the
     measurement raises, its exception stands for every cell that reached it.
@@ -69,21 +73,20 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     a = build_test_matrix(spec)
     outcomes: list = [None] * len(cells)
     runs = {}  # cell index -> (factorization, t_seconds)
-    by_seed: dict[int, list[int]] = {}
-    for index, (_, seed) in enumerate(cells):
-        by_seed.setdefault(seed, []).append(index)
-    for seed, pending in by_seed.items():
-        pending.sort(key=lambda index: cells[index][0], reverse=True)
-        config = AlsConfig(rank_k=spec.k, iterations_j=cells[pending[0]][0], seed=seed)
-        t0 = time.perf_counter()
-        try:
-            for factorization in als_trajectory(a, config):
-                t_seconds = time.perf_counter() - t0
-                while pending and cells[pending[-1]][0] == factorization.iterations_j:
-                    runs[pending.pop()] = (factorization, t_seconds)
-        except Exception as exc:  # noqa: BLE001 - the caller records or raises it
-            for index in pending:
-                outcomes[index] = exc
+    seeds = tuple(dict.fromkeys(seed for _, seed in cells))
+    pending = sorted(range(len(cells)), key=lambda index: cells[index][0], reverse=True)
+    config = AlsConfig(rank_k=spec.k, iterations_j=cells[pending[0]][0], seed=seeds[0])
+    t0 = time.perf_counter()
+    try:
+        for i, factorizations in enumerate(als_trajectories(a, config, seeds)):
+            t_seconds = (time.perf_counter() - t0) / len(seeds)
+            by_seed = dict(zip(seeds, factorizations))
+            while pending and cells[pending[-1]][0] == i:
+                index = pending.pop()
+                runs[index] = (by_seed[cells[index][1]], t_seconds)
+    except Exception as exc:  # noqa: BLE001 - the caller records or raises it
+        for index in pending:
+            outcomes[index] = exc
     runs = dict(sorted(runs.items()))  # cell order, the order of the measured pairs
     if not runs:
         return outcomes

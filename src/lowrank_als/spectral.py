@@ -97,24 +97,28 @@ def power_method_norm(op, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED, mi
     else:
         forward, backward = op.matmat, op.rmatmat
 
-    # The pairs stacked for one batched matmul per apply, zero-padded to the
-    # widest k: a narrower pair (rank-deficient ALS output) and the empty
-    # stack of a plain call subtract exact zeros.
     dtype = np.result_type(op.dtype, *(x.dtype for pair in pairs for x in pair))
-    c = max(1, len(pairs))
-    kmax = max((s.shape[1] for s, _ in pairs), default=0)
-    s_stack = np.zeros((c, m, kmax), dtype)
-    t_stack = np.zeros((c, kmax, n), dtype)
-    for i, (s, t) in enumerate(pairs):
-        s_stack[i, :, : s.shape[1]] = s
-        t_stack[i, : t.shape[0]] = t
+    if pairs:
+        # The pairs stacked for one batched matmul per apply, zero-padded to
+        # the widest k: a narrower pair (rank-deficient ALS output) subtracts
+        # exact zeros.
+        c = len(pairs)
+        kmax = max(s.shape[1] for s, _ in pairs)
+        s_stack = np.zeros((c, m, kmax), dtype)
+        t_stack = np.zeros((c, kmax, n), dtype)
+        for i, (s, t) in enumerate(pairs):
+            s_stack[i, :, : s.shape[1]] = s
+            t_stack[i, : t.shape[0]] = t
 
-    def apply(v):
-        return forward(v) - (s_stack @ (t_stack @ v.T[:, :, None]))[:, :, 0].T
+        def apply(v):
+            return forward(v) - (s_stack @ (t_stack @ v.T[:, :, None]))[:, :, 0].T
 
-    def apply_adjoint(u):
-        # (u^H S) T = (T^H S^H u)^H, so no conjugated copy of a stack is kept.
-        return backward(u) - ((u.conj().T[:, None, :] @ s_stack) @ t_stack)[:, 0, :].conj().T
+        def apply_adjoint(u):
+            # (u^H S) T = (T^H S^H u)^H, so no conjugated copy of a stack is kept.
+            return backward(u) - ((u.conj().T[:, None, :] @ s_stack) @ t_stack)[:, 0, :].conj().T
+
+    else:
+        c, apply, apply_adjoint = 1, forward, backward
 
     field = "complex" if np.issubdtype(dtype, np.complexfloating) else "real"
     v = gaussian_matrix(n, 1, seed, field)

@@ -7,6 +7,7 @@ from lowrank_als.als import (
     AlsConfig,
     als_init,
     als_run,
+    als_trajectories,
     als_trajectory,
     als_update_s,
     als_update_t,
@@ -202,17 +203,20 @@ def _half_step_run(a, cfg):
     return state
 
 
+TRAJECTORY_INPUTS = pytest.mark.parametrize(
+    "a, k",
+    [
+        (gaussian_matrix(12, 9, seed=30), 3),
+        (gaussian_matrix(9, 12, seed=31, field="complex"), 3),
+        # rank(A) = 2 < k = 4: every iterate has two columns.
+        (gaussian_matrix(12, 2, seed=32) @ gaussian_matrix(2, 9, seed=33), 4),
+    ],
+    ids=["real", "complex", "rank_below_k"],
+)
+
+
 class TestTrajectory:
-    @pytest.mark.parametrize(
-        "a, k",
-        [
-            (gaussian_matrix(12, 9, seed=30), 3),
-            (gaussian_matrix(9, 12, seed=31, field="complex"), 3),
-            # rank(A) = 2 < k = 4: every iterate has two columns.
-            (gaussian_matrix(12, 2, seed=32) @ gaussian_matrix(2, 9, seed=33), 4),
-        ],
-        ids=["real", "complex", "rank_below_k"],
-    )
+    @TRAJECTORY_INPUTS
     def test_prefixes_equal_standalone_runs(self, a, k):
         big_j = 4
         config = AlsConfig(rank_k=k, iterations_j=big_j, seed=34, track_errors=True)
@@ -226,6 +230,27 @@ class TestTrajectory:
             assert np.array_equal(got.s, state.s) and np.array_equal(got.t, state.t)
             assert got.frobenius_error_trace == want.frobenius_error_trace == state.error_trace
             assert got.s.shape[1] == min(k, np.linalg.matrix_rank(a))
+
+    @TRAJECTORY_INPUTS
+    def test_batch_matches_standalone_runs(self, a, k):
+        # Seeds side by side share each product with A, which sums in another
+        # order than a one-seed product: the same widths, and the same
+        # subspaces up to rounding.
+        big_j, seeds = 4, (34, 35, 36)
+        batch = list(als_trajectories(a, AlsConfig(rank_k=k, iterations_j=big_j, seed=0), seeds))
+        assert len(batch) == big_j + 1
+        for i, factorizations in enumerate(batch):
+            assert [(f.iterations_j, f.seed) for f in factorizations] == [(i, seed) for seed in seeds]
+            for got in factorizations:
+                want = als_run(a, AlsConfig(rank_k=k, iterations_j=i, seed=got.seed))
+                assert got.s.shape == want.s.shape and got.t.shape == want.t.shape
+                assert frobenius_norm(projector(got.s) - projector(want.s)) <= 1e-12
+
+    def test_batch_refuses_error_tracking(self):
+        a = gaussian_matrix(8, 6, seed=37)
+        config = AlsConfig(rank_k=2, iterations_j=1, seed=0, track_errors=True)
+        with pytest.raises(ValueError, match="one seed"):
+            next(als_trajectories(a, config, (0, 1)))
 
 
 class TestApproximationError:

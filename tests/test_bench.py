@@ -106,17 +106,14 @@ class TestRunSuite:
         import lowrank_als.als as als
 
         def flaky(state):
-            # Seed 1's first S-update, so its j = 0 cell is already recorded.
-            if state.config.seed == 1:
-                raise RuntimeError("boom")
-            return real_update_s(state)
+            # The batch's first S-update, so the j = 0 cells of both seeds
+            # are already recorded.
+            raise RuntimeError("boom")
 
-        real_update_s = als.als_update_s
         monkeypatch.setattr(als, "als_update_s", flaky)
         records, summary = run_suite(SMALL_SUITE)
-        assert [(r.j, r.seed) for r in records] == [(0, 0), (0, 1), (2, 0)]
-        (failure,) = summary["failures"]
-        assert (failure["j"], failure["seed"], failure["error"]) == (2, 1, "boom")
+        assert [(r.j, r.seed) for r in records] == [(0, 0), (0, 1)]
+        assert [(f["j"], f["seed"], f["error"]) for f in summary["failures"]] == [(2, 0, "boom"), (2, 1, "boom")]
         monkeypatch.undo()
         for rec in records:
             want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
@@ -127,17 +124,20 @@ class TestRunSuite:
 
         runs = []
 
-        def counted(a, config):
-            runs.append(config)
-            return real_trajectory(a, config)
+        def counted(a, config, seeds):
+            runs.append((config.iterations_j, seeds))
+            return real_trajectories(a, config, seeds)
 
-        real_trajectory = bench.als_trajectory
-        monkeypatch.setattr(bench, "als_trajectory", counted)
+        real_trajectories = bench.als_trajectories
+        monkeypatch.setattr(bench, "als_trajectories", counted)
         records, _ = run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(2, 0, 1)))
-        assert [(c.iterations_j, c.seed) for c in runs] == [(2, 0), (2, 1)]
+        assert runs == [(2, (0, 1))]
+        times = {}
         for seed in (0, 1):
-            times = [r.t_seconds for j in (0, 1, 2) for r in records if (r.j, r.seed) == (j, seed)]
-            assert 0 < times[0] < times[1] < times[2]
+            times[seed] = [r.t_seconds for j in (0, 1, 2) for r in records if (r.j, r.seed) == (j, seed)]
+            assert 0 < times[seed][0] < times[seed][1] < times[seed][2]
+        # A cell's t_seconds is its share of the batch's time.
+        assert times[0] == times[1]
 
     def test_negative_iteration_count_rejected(self):
         with pytest.raises(ValueError, match="iteration_counts"):

@@ -54,3 +54,24 @@ def test_traced_pass_counts(spans, tmp_path):
     assert metrics["testmat.build_calls"] == 1
     # Header plus payload of S (16x3) and T (3x12).
     assert metrics["io.bytes_written"] == 2 * spans.HEADER_BYTES + (16 * 3 + 3 * 12) * 8
+
+
+def test_traced_batch_counts(spans):
+    # The three seeds of the one matrix run as one batch: each half-step is
+    # one product with A for all of them, and one als_init draws the batch's
+    # sketch with one product.  Run seed by seed, the same cells took 15
+    # half-steps.
+    config = bench.SuiteConfig(
+        sizes=((32, 64),), rank_deltas=((2, 1e-3),), iteration_counts=(0, 2), seeds=(0, 1, 2)
+    )
+    tracer = spans.Tracer()
+    tracer.begin_pass()
+    try:
+        records, summary = bench.run_suite(config)
+    finally:
+        tracer.end_pass(1.0)
+    assert len(records) == 6 and not summary["failures"]
+    metrics = tracer.layer_metrics()
+    assert metrics["als.half_steps"] == 5
+    # One sketch product for the batch, one pass per half-step.
+    assert metrics["als.passes_over_a"] == 1 + 5

@@ -182,3 +182,14 @@ class TestSharedMeasurement:
         assert power_method_norm(a, minus=[(np.zeros((6, 1)), np.zeros((1, 5)))]) == [
             pytest.approx(power_method_norm(a), rel=1e-12)
         ]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("operator", [False, True], ids=["array", "linear_operator"])
+    def test_plain_estimate_equals_zero_pair_estimate(self, field, operator):
+        # A plain call applies the operator alone; subtracting a zero pair
+        # subtracts exact zeros, so the two estimates agree bit for bit.
+        m, n = 9, 7
+        a = gaussian_matrix(m, n, seed=17, field=field)
+        op = aslinearoperator(a) if operator else a
+        zero_pair = (np.zeros((m, 1)), np.zeros((1, n)))
+        assert power_method_norm(op) == power_method_norm(op, minus=[zero_pair])[0]
