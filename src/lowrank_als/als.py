@@ -65,8 +65,8 @@ class AlsState:
     """Iterate of the ALS loop over the validated matrix ``a``, for one or
     more random starts side by side.
 
-    ``s`` holds one block of columns per entry of ``seeds``, ``widths[b]``
-    columns for seed b, and ``t`` the matching blocks of rows.  Each block of
+    ``s`` holds one block of columns per seed, ``widths[b]`` columns for
+    seed b, and ``t`` the matching blocks of rows.  Each block of
     ``s`` has orthonormal columns (at most rank_k of them: fewer when
     rank(A) < rank_k); als_update_t relies on this to compute T = S* A.  The
     error trace is kept for a one-seed state only.
@@ -74,7 +74,6 @@ class AlsState:
 
     a: np.ndarray
     config: AlsConfig
-    seeds: tuple[int, ...]
     s: np.ndarray
     widths: tuple[int, ...]
     t: np.ndarray | None = None
@@ -92,13 +91,8 @@ def _bases_side_by_side(blocks, widths):
     side, and the bases' widths.
 
     Each basis is copied into the result as soon as it exists, so a batch
-    holds one block's temporaries at a time.  A single block's basis is
-    returned as it is, so a one-seed state holds the arrays, memory layout
-    included, of a standalone run.
+    holds one block's temporaries at a time.
     """
-    if len(widths) == 1:
-        basis = orthonormal_basis(next(iter(blocks)))
-        return basis, (basis.shape[1],)
     out, ranks = None, []
     for block in blocks:
         basis = orthonormal_basis(block)
@@ -121,8 +115,9 @@ def _validate(config: AlsConfig, shape) -> None:
 def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
     """Validate A and draw the orthonormalized random start S_0.
 
-    ``seeds`` are the random starts of a batch, one block of S_0 each; by
-    default the one start ``config.seed``.  The sketch is one product of A
+    ``seeds`` are the random starts of a batch, one block of S_0 each; when
+    they are given, ``config.seed`` is ignored.  By default the batch is the
+    one start ``config.seed``.  The sketch is one product of A
     with the seeds' Omegas side by side.  A state of several seeds does not
     track errors.
 
@@ -147,7 +142,7 @@ def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
     s0, widths = _bases_side_by_side((sketch[:, cols] for cols in _slices(widths)), widths)
     if min(widths) == 0:
         raise ValueError("the sketch A @ Omega has numerical rank 0; A is zero to working precision")
-    return AlsState(a=a, config=config, seeds=seeds, s=s0, widths=widths)
+    return AlsState(a=a, config=config, s=s0, widths=widths)
 
 
 def als_update_t(state: AlsState) -> AlsState:
@@ -191,6 +186,7 @@ def als_trajectories(a, config: AlsConfig, seeds):
     Factorization's iterations_j is i and its error trace, when tracked, is
     the trace so far.
     """
+    seeds = tuple(seeds)
     state = als_init(a, config, seeds=seeds)
     for i in range(config.iterations_j + 1):
         if i:
@@ -201,7 +197,7 @@ def als_trajectories(a, config: AlsConfig, seeds):
             Factorization(
                 s=state.s[:, cols], t=state.t[cols], iterations_j=i, seed=seed, frobenius_error_trace=trace
             )
-            for seed, cols in zip(state.seeds, _slices(state.widths))
+            for seed, cols in zip(seeds, _slices(state.widths))
         ]
 
 
