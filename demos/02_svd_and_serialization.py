@@ -1,8 +1,8 @@
 """From an ALS factorization to an SVD, and on to disk.
 
 Any factorization A ~ S T converts to singular-value form in O((m+n) k^2)
-work, without ever touching an m x n matrix.  Matrices, factorizations, and
-SVD triplets all serialize to a small binary format with JSON sidecars.
+work, without ever touching an m x n matrix.  Matrices and factorizations
+serialize to a small binary format; a factorization adds a JSON sidecar.
 """
 
 import tempfile

@@ -11,10 +11,9 @@ from .als import (
     load_factorization,
     save_factorization,
 )
-from .bench import ExperimentRecord, SuiteConfig, run_cell, run_suite
-from .io import load_csv, load_matrix, save_csv, save_matrix
+from .bench import ExperimentRecord, SuiteConfig, run_suite
+from .io import load_matrix, save_matrix
 from .matrix import (
-    DENSE_SVD_BUDGET,
     SvdTriplet,
     adjoint,
     frobenius_norm,
@@ -22,13 +21,12 @@ from .matrix import (
     orthonormal_basis,
     small_svd,
 )
-from .spectral import DEFAULT_POWER_SEED, power_method_norm, residual_operator
-from .svd_convert import factorization_to_svd, load_svd_triplet, save_svd_triplet
+from .spectral import DEFAULT_POWER_SEED, power_method_norm
+from .svd_convert import factorization_to_svd
 from .testmat import (
     MemoryBudgetError,
     TestMatrixSpec,
     build_test_matrix,
-    dft_matrix,
     real_orthogonal_matrix,
     sigma_spectrum,
 )
@@ -38,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlsConfig",
     "DEFAULT_POWER_SEED",
-    "DENSE_SVD_BUDGET",
     "ExperimentRecord",
     "Factorization",
     "MemoryBudgetError",
@@ -52,24 +49,17 @@ __all__ = [
     "als_update_t",
     "approximation_error",
     "build_test_matrix",
-    "dft_matrix",
     "factorization_to_svd",
     "frobenius_norm",
     "gaussian_matrix",
-    "load_csv",
     "load_factorization",
     "load_matrix",
-    "load_svd_triplet",
     "orthonormal_basis",
     "power_method_norm",
     "real_orthogonal_matrix",
-    "residual_operator",
-    "run_cell",
     "run_suite",
-    "save_csv",
     "save_factorization",
     "save_matrix",
-    "save_svd_triplet",
     "sigma_spectrum",
     "small_svd",
 ]

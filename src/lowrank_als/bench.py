@@ -114,14 +114,6 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     return outcomes
 
 
-def run_cell(spec: TestMatrixSpec, j: int, seed: int) -> ExperimentRecord:
-    """One table cell: build A, time the ALS run, measure epsilon."""
-    (outcome,) = _run_matrix(spec, [(j, seed)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
     if not config.sizes:
         raise ValueError("sizes must be nonempty")

@@ -1,4 +1,4 @@
-"""Binary and CSV matrix serialization.
+"""Binary matrix serialization.
 
 Binary layout (little-endian): magic ``ALSM``, version u32, field tag u8
 (0 = real, 1 = complex), rows u64, cols u64, then row-major float64 entries
@@ -57,32 +57,3 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: trailing bytes after the payload")
         data = np.fromfile(f, dtype=dtype, count=rows * cols)
     return as_matrix(data.reshape(rows, cols), str(path))
-
-
-def save_csv(path, a) -> None:
-    """Plain-text CSV export, intended for small matrices during debugging."""
-    a = as_matrix(a)
-    with open(path, "w") as f:
-        for row in a:
-            if np.iscomplexobj(a):
-                cells = [f"{x.real:.17g}{x.imag:+.17g}j" for x in row]
-            else:
-                cells = [f"{x:.17g}" for x in row]
-            f.write(",".join(cells) + "\n")
-
-
-def load_csv(path) -> np.ndarray:
-    """Read a CSV written by save_csv, real when every imaginary part is zero.
-
-    Raises ValueError for an empty file, ragged rows or non-finite entries.
-    """
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([complex(c) for c in line.split(",")])
-    arr = np.array(rows)
-    if np.all(arr.imag == 0.0):
-        arr = arr.real
-    return as_matrix(arr, str(path))

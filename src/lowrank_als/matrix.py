@@ -78,11 +78,11 @@ class SvdTriplet:
     v: np.ndarray
 
 
-def small_svd(a, budget: int = DENSE_SVD_BUDGET) -> SvdTriplet:
-    """Dense SVD with min(p, q) triplets; refuses inputs above the entry budget."""
+def small_svd(a) -> SvdTriplet:
+    """Dense SVD with min(p, q) triplets; refuses inputs of more than DENSE_SVD_BUDGET entries."""
     a = as_matrix(a)
-    if a.size > budget:
-        raise ValueError(f"matrix with {a.size} entries exceeds dense SVD budget {budget}")
+    if a.size > DENSE_SVD_BUDGET:
+        raise ValueError(f"matrix with {a.size} entries exceeds dense SVD budget {DENSE_SVD_BUDGET}")
     u, sig, vh = np.linalg.svd(a, full_matrices=False)
     return SvdTriplet(u, sig, adjoint(vh))
 

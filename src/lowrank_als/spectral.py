@@ -1,41 +1,21 @@
 """Spectral-norm estimation by the power method on implicitly defined operators.
 
-Operators are scipy.sparse.linalg.LinearOperator instances, so scipy's
-iterative solvers such as svds accept the residual of a factorization too; a
-dense array is accepted wherever an operator is.
+Operators are scipy.sparse.linalg.LinearOperator instances; a dense array is
+accepted wherever an operator is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
+from scipy.sparse.linalg import aslinearoperator
 from scipy.sparse.linalg._interface import MatrixLinearOperator
 
-from .matrix import adjoint, frobenius_norm, gaussian_matrix
+from .matrix import frobenius_norm, gaussian_matrix
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
 # factorization seed; override per call when needed.
 DEFAULT_POWER_SEED = 0x9E3779B9
-
-
-def residual_operator(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> LinearOperator:
-    """The residual E = A - S T without materializing E or copying A."""
-    a = np.asarray(a)
-    s = np.asarray(s)
-    t = np.asarray(t)
-    sh, th = adjoint(s), adjoint(t)
-
-    def matvec(v):
-        return a @ v - s @ (t @ v)
-
-    def rmatvec(w):
-        # A* w = conj(A^T conj(w)): A^T is a view, so A is never conjugated.
-        # w may be an (m,) vector or an (m, 1) column.
-        return (a.T @ w.conj()).conj() - th @ (sh @ w)
-
-    dtype = np.result_type(a.dtype, s.dtype, t.dtype)
-    return LinearOperator(a.shape, matvec=matvec, rmatvec=rmatvec, dtype=dtype)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -68,9 +48,10 @@ def power_method_norm(op, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED, mi
     of ||op - s_i t_i|| for each pair, in order.  All pairs share one block
     power iteration whose column i runs the steps above on op - s_i t_i from
     the same start vector, so each apply makes one pass over ``op`` for every
-    pair.  Entry i equals power_method_norm(residual_operator(a, s_i, t_i))
-    in exact arithmetic and differs from it only by rounding, because a
-    matrix-matrix product sums in another order than a matrix-vector one.
+    pair.  Entry i equals the estimate of a standalone call on the operator
+    op - s_i t_i in exact arithmetic and differs from it only by rounding,
+    because a matrix-matrix product sums in another order than a
+    matrix-vector one.
     A dense ``op`` is applied as (V^T A^T)^T and (U* A)*, never as a
     conjugated copy.
     """

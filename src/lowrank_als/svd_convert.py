@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import io
 from .matrix import SvdTriplet, as_matrix, small_svd
 
 
@@ -50,29 +47,3 @@ def _canonicalize_phases(u: np.ndarray, v: np.ndarray):
         u[:, col] = u[:, col] / phase
         v[:, col] = v[:, col] / phase
     return u, v
-
-
-def save_svd_triplet(directory, triplet: SvdTriplet) -> None:
-    """Write U, sigma (as a k-by-1 column) and V as binary matrices."""
-    os.makedirs(directory, exist_ok=True)
-    io.save_matrix(os.path.join(directory, "u.alsm"), triplet.u)
-    io.save_matrix(os.path.join(directory, "sigma.alsm"), np.asarray(triplet.sigma)[:, None])
-    io.save_matrix(os.path.join(directory, "v.alsm"), triplet.v)
-
-
-def load_svd_triplet(directory) -> SvdTriplet:
-    """Read a triplet written by save_svd_triplet.
-
-    Raises ValueError unless sigma is a real k-by-1 column and U and V both
-    have k columns.  Other files in the directory are ignored.
-    """
-    u = io.load_matrix(os.path.join(directory, "u.alsm"))
-    sigma = io.load_matrix(os.path.join(directory, "sigma.alsm"))
-    v = io.load_matrix(os.path.join(directory, "v.alsm"))
-    k = sigma.shape[0]
-    if np.iscomplexobj(sigma) or sigma.shape[1] != 1 or not u.shape[1] == k == v.shape[1]:
-        raise ValueError(
-            f"{directory}: U is {u.shape}, sigma is {sigma.shape} {sigma.dtype} and V is "
-            f"{v.shape}; want a real (k, 1) sigma and k columns in U and V"
-        )
-    return SvdTriplet(u, sigma[:, 0], v)

@@ -71,14 +71,6 @@ def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary discrete Fourier transform: entry (p, q) = exp(-2 pi i p q / n) / sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = np.arange(n)
-    return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)
-
-
 def real_orthogonal_matrix(n: int, seed: int) -> np.ndarray:
     """Orthogonal matrix from the QR factorization of a seeded Gaussian."""
     if n < 1:
@@ -95,8 +87,8 @@ def build_test_matrix(spec: TestMatrixSpec, memory_budget: int = MEMORY_BUDGET) 
     which depends only on (p L/m + c L/n) mod L with L = lcm(m, n): it is
     entry (p L/m + c L/n) of h, h repeated twice, where h is the L-point FFT
     of sigma scaled by 1/sqrt(m n).  So A is one FFT and a strided copy of
-    [h, h]; dft_matrix is the dense oracle.  Singular values of the result
-    equal sigma_spectrum(spec) by unitary invariance.
+    [h, h].  Singular values of the result equal sigma_spectrum(spec) by
+    unitary invariance.
     """
     m, n = spec.m, spec.n
     r = min(m, n)

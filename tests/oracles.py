@@ -2,10 +2,12 @@
 
 Nothing here calls the code paths under test: eigenvalues come from a cyclic
 Jacobi sweep, least-squares solutions from explicitly inverted normal
-equations.
+equations, the residual A - S T from one matrix-vector product per term, and
+the discrete Fourier transform from its entry formula.
 """
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 
 def jacobi_eigenvalues_symmetric(h: np.ndarray, sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
@@ -63,3 +65,30 @@ def normal_equations_solve_right(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """A T* (T T*)^{-1}, the mirrored normal-equations formula."""
     gram = t @ t.conj().T
     return a @ t.conj().T @ np.linalg.inv(gram)
+
+
+def residual_operator(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> LinearOperator:
+    """The residual E = A - S T without materializing E or copying A."""
+    a = np.asarray(a)
+    s = np.asarray(s)
+    t = np.asarray(t)
+    sh, th = s.conj().T, t.conj().T
+
+    def matvec(v):
+        return a @ v - s @ (t @ v)
+
+    def rmatvec(w):
+        # A* w = conj(A^T conj(w)): A^T is a view, so A is never conjugated.
+        # w may be an (m,) vector or an (m, 1) column.
+        return (a.T @ w.conj()).conj() - th @ (sh @ w)
+
+    dtype = np.result_type(a.dtype, s.dtype, t.dtype)
+    return LinearOperator(a.shape, matvec=matvec, rmatvec=rmatvec, dtype=dtype)
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary discrete Fourier transform: entry (p, q) = exp(-2 pi i p q / n) / sqrt(n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = np.arange(n)
+    return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)

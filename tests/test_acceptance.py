@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lowrank_als.als import AlsConfig, als_run
-from lowrank_als.bench import SuiteConfig, run_cell, run_suite
+from lowrank_als.bench import SuiteConfig, run_suite
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
 from lowrank_als.verify import (
@@ -79,8 +79,10 @@ def test_criterion_1_table_reproduction_desk_scale(desk_records):
 
 
 def test_criterion_2_table_reproduction_full_size():
-    spec = TestMatrixSpec(2048, 4096, 2, 1e-3)
-    rec = run_cell(spec, j=1, seed=0)
+    config = SuiteConfig(sizes=((2048, 4096),), rank_deltas=((2, 1e-3),), iteration_counts=(1,), seeds=(0,))
+    records, summary = run_suite(config)
+    assert not summary["failures"], summary["failures"]
+    (rec,) = records
     ratio = rec.epsilon / rec.delta
     _report(
         2,

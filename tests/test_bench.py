@@ -10,7 +10,6 @@ from lowrank_als.bench import (
     CSV_HEADER,
     ExperimentRecord,
     SuiteConfig,
-    run_cell,
     run_suite,
     summarize,
     write_csv,
@@ -30,28 +29,39 @@ SMALL_SUITE = SuiteConfig(
 )
 
 
+def run_one_cell(spec: TestMatrixSpec, j: int, seed: int) -> ExperimentRecord:
+    """The record of the one-cell suite (spec, j, seed)."""
+    config = SuiteConfig(
+        sizes=((spec.m, spec.n),),
+        rank_deltas=((spec.k, spec.delta),),
+        iteration_counts=(j,),
+        seeds=(seed,),
+        transform=spec.transform,
+    )
+    records, summary = run_suite(config)
+    assert not summary["failures"], summary["failures"]
+    (rec,) = records
+    return rec
+
+
 class TestRunCell:
     def test_record_fields(self):
-        rec = run_cell(SMALL_SPEC, j=2, seed=0)
+        rec = run_one_cell(SMALL_SPEC, j=2, seed=0)
         assert (rec.m, rec.n, rec.k) == (32, 64, 2)
         assert rec.transform == "dft"
         assert rec.j == 2 and rec.seed == 0
         assert rec.t_seconds > 0
 
     def test_near_optimal_after_two_iterations(self):
-        rec = run_cell(SMALL_SPEC, j=2, seed=0)
+        rec = run_one_cell(SMALL_SPEC, j=2, seed=0)
         # Power-method epsilon is a lower bound on the true error, which in
         # turn is at least delta; the undershoot stays under a percent.
         assert 0.99 * rec.delta <= rec.epsilon <= 1.25 * rec.delta
 
     def test_matrix_reuse_matches_fresh_build(self):
-        # run_suite shares one build among the cells of a matrix and run_cell
-        # makes its own; builds of one spec are identical, so a one-cell suite
-        # gives run_cell's epsilon exactly.
+        # run_suite shares one build among the cells of a matrix; builds of
+        # one spec are identical.
         assert np.array_equal(build_test_matrix(SMALL_SPEC), build_test_matrix(SMALL_SPEC))
-        (rec_suite,), _ = run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(1,), seeds=(3,)))
-        rec_fresh = run_cell(SMALL_SPEC, j=1, seed=3)
-        assert rec_suite.epsilon == rec_fresh.epsilon
 
 
 class TestRunSuite:
@@ -99,7 +109,7 @@ class TestRunSuite:
     def test_shared_measurement_matches_cells(self):
         records, _ = run_suite(SMALL_SUITE)
         for rec in records:
-            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
+            want = run_one_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
             assert abs(rec.epsilon - want) <= 1e-12 * want
 
     def test_failed_als_cell_keeps_matrix_measured(self, monkeypatch):
@@ -116,7 +126,7 @@ class TestRunSuite:
         assert [(f["j"], f["seed"], f["error"]) for f in summary["failures"]] == [(2, 0, "boom"), (2, 1, "boom")]
         monkeypatch.undo()
         for rec in records:
-            want = run_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
+            want = run_one_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
             assert abs(rec.epsilon - want) <= 1e-12 * want
 
     def test_cells_of_a_seed_share_one_trajectory(self, monkeypatch):
@@ -153,8 +163,6 @@ class TestRunSuite:
         records, summary = run_suite(SMALL_SUITE)
         assert records == []
         assert [(f["j"], f["seed"]) for f in summary["failures"]] == [(0, 0), (0, 1), (2, 0), (2, 1)]
-        with pytest.raises(RuntimeError, match="no measurement"):
-            run_cell(SMALL_SPEC, j=0, seed=0)
 
     def test_summary_ratios(self):
         records, summary = run_suite(SMALL_SUITE)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from lowrank_als.io import MAGIC, VERSION, load_csv, load_matrix, save_csv, save_matrix
+from lowrank_als.io import MAGIC, VERSION, load_matrix, save_matrix
 from lowrank_als.matrix import gaussian_matrix
 
 
@@ -79,24 +79,3 @@ def test_header_and_payload_validated(tmp_path, rows, cols, payload, match):
     path.write_bytes(struct.pack("<4sIBQQ", MAGIC, VERSION, 0, rows, cols) + payload)
     with pytest.raises(ValueError, match=match):
         load_matrix(path)
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_csv_roundtrip(tmp_path, field):
-    a = gaussian_matrix(4, 3, seed=3, field=field)
-    path = tmp_path / "a.csv"
-    save_csv(path, a)
-    back = load_csv(path)
-    assert np.allclose(back, a, atol=0, rtol=1e-15)
-
-
-@pytest.mark.parametrize(
-    ("text", "match"),
-    [("", "2-dimensional"), ("\n \n\n", "2-dimensional"), ("1.0,2.0\n3.0,nan\n", "non-finite")],
-    ids=["empty", "blank-lines", "nan"],
-)
-def test_csv_rejects_non_matrix(tmp_path, text, match):
-    path = tmp_path / "a.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=match):
-        load_csv(path)

@@ -6,7 +6,9 @@ from scipy.sparse.linalg import aslinearoperator, svds
 
 from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
-from lowrank_als.spectral import power_method_norm, residual_operator
+from lowrank_als.spectral import power_method_norm
+
+from oracles import residual_operator
 
 
 class TestOperators:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from lowrank_als.io import save_matrix
 from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.spectral import power_method_norm
-from lowrank_als.svd_convert import factorization_to_svd, load_svd_triplet, save_svd_triplet
+from lowrank_als.svd_convert import factorization_to_svd
 
 
 def test_rank_one():
@@ -75,35 +74,3 @@ def test_phase_canonicalization():
 def test_incompatible_shapes():
     with pytest.raises(ValueError):
         factorization_to_svd(np.ones((4, 2)), np.ones((3, 5)))
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_serialization_roundtrip(tmp_path, field):
-    s = gaussian_matrix(6, 2, seed=30, field=field)
-    t = gaussian_matrix(2, 5, seed=31, field=field)
-    res = factorization_to_svd(s, t)
-    save_svd_triplet(tmp_path / "svd", res)
-    assert sorted(p.name for p in (tmp_path / "svd").iterdir()) == ["sigma.alsm", "u.alsm", "v.alsm"]
-    # Older saves also wrote sigma to svd.json; such directories still load.
-    (tmp_path / "svd" / "svd.json").write_text('{"sigma": []}')
-    back = load_svd_triplet(tmp_path / "svd")
-    assert np.array_equal(back.u, res.u)
-    assert np.allclose(back.sigma, res.sigma)
-    assert np.array_equal(back.v, res.v)
-
-
-@pytest.mark.parametrize(
-    ("name", "replacement"),
-    [
-        ("v.alsm", gaussian_matrix(5, 3, seed=32)),
-        ("sigma.alsm", np.array([[2.0, 1.0]])),
-        ("sigma.alsm", np.array([[2.0 + 1.0j], [1.0 + 0.0j]])),
-    ],
-    ids=["v-columns", "sigma-row", "sigma-complex"],
-)
-def test_inconsistent_triplet_rejected(tmp_path, name, replacement):
-    res = factorization_to_svd(gaussian_matrix(6, 2, seed=30), gaussian_matrix(2, 5, seed=31))
-    save_svd_triplet(tmp_path / "svd", res)
-    save_matrix(tmp_path / "svd" / name, replacement)
-    with pytest.raises(ValueError, match="sigma"):
-        load_svd_triplet(tmp_path / "svd")

@@ -12,11 +12,12 @@ from lowrank_als.testmat import (
     MemoryBudgetError,
     TestMatrixSpec,
     build_test_matrix,
-    dft_matrix,
     dft_operator,
     real_orthogonal_matrix,
     sigma_spectrum,
 )
+
+from oracles import dft_matrix
 
 
 class TestSpecValidation:
