@@ -19,11 +19,10 @@ state holds the seeds' blocks side by side, so each half-step makes one
 product with A for all of them, and each seed's block is orthonormalized on
 its own.  A product of A with few columns runs far below BLAS speed: at
 2048x4096 and k = 2, on one BLAS thread, five seeds' S* A take about 99 ms as
-five products and 23 ms as one, and their A Q 133 ms and 38 ms.  A one-seed
-state holds exactly the arrays of a standalone run, so als_run and
-als_trajectory are unchanged bit for bit; with several seeds each block
-differs from its standalone run only by rounding, because a wider product
-sums in another order.
+five products and 23 ms as one, and their A Q 133 ms and 38 ms.  als_run is
+the one-seed batch of config.seed; with several seeds each block differs
+from its standalone run only by rounding, because a wider product sums in
+another order.
 """
 
 from __future__ import annotations
@@ -180,11 +179,12 @@ def als_trajectories(a, config: AlsConfig, seeds):
     Factorizations (S_i, T_i), one per entry of ``seeds``, in order.
 
     The seeds run as one batch, so each half-step makes one product with A
-    for all of them (config.seed is not used).  With one seed this is
-    als_trajectory; with several, error tracking is refused and each value
-    differs from the seed's standalone run only by rounding.  Each
-    Factorization's iterations_j is i and its error trace, when tracked, is
-    the trace so far.
+    for all of them (config.seed is not used).  With one seed, the value at
+    i is, bit for bit, als_run with iterations_j = i, so a caller that needs
+    several iteration counts of one seed runs the iteration once; with
+    several, error tracking is refused and each value differs from the
+    seed's standalone run only by rounding.  Each Factorization's
+    iterations_j is i and its error trace, when tracked, is the trace so far.
     """
     seeds = tuple(seeds)
     state = als_init(a, config, seeds=seeds)
@@ -201,26 +201,14 @@ def als_trajectories(a, config: AlsConfig, seeds):
         ]
 
 
-def als_trajectory(a, config: AlsConfig):
-    """Yield the Factorization (S_i, T_i) after each T-update, i = 0..iterations_j.
-
-    One iteration from one random start: the value yielded at i is, bit for
-    bit, als_run with iterations_j = i, so a caller that needs several
-    iteration counts of one seed runs the iteration once.  Each value's
-    iterations_j is i and its error trace, when tracked, is the trace so far.
-    """
-    for (factorization,) in als_trajectories(a, config, (config.seed,)):
-        yield factorization
-
-
 def als_run(a, config: AlsConfig) -> Factorization:
     """Run exactly ``iterations_j`` S-updates and finish with a T-update.
 
     The output is (S_j, T_j): T is always optimal for the final S.  With
     iterations_j = 0 this is the pure random-projection baseline (S_0, T_0).
-    It is the last value of als_trajectory.
+    It is the last value of the one-seed als_trajectories of config.seed.
     """
-    for factorization in als_trajectory(a, config):
+    for (factorization,) in als_trajectories(a, config, (config.seed,)):
         pass
     return factorization
 

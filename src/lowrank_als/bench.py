@@ -71,34 +71,32 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     measurement raises, its exception stands for every cell that reached it.
     """
     a = build_test_matrix(spec)
-    outcomes: list = [None] * len(cells)
-    runs = {}  # cell index -> (factorization, t_seconds)
     seeds = tuple(dict.fromkeys(seed for _, seed in cells))
-    pending = sorted(range(len(cells)), key=lambda index: cells[index][0], reverse=True)
-    config = AlsConfig(rank_k=spec.k, iterations_j=cells[pending[0]][0], seed=seeds[0])
+    wanted = {j for j, _ in cells}
+    by_j = {}  # wanted j -> ({seed: factorization}, t_seconds)
+    outcomes: list = [None] * len(cells)
+    config = AlsConfig(rank_k=spec.k, iterations_j=max(wanted), seed=seeds[0])
     t0 = time.perf_counter()
     try:
         for i, factorizations in enumerate(als_trajectories(a, config, seeds)):
             t_seconds = (time.perf_counter() - t0) / len(seeds)
-            by_seed = dict(zip(seeds, factorizations))
-            while pending and cells[pending[-1]][0] == i:
-                index = pending.pop()
-                runs[index] = (by_seed[cells[index][1]], t_seconds)
+            if i in wanted:
+                by_j[i] = (dict(zip(seeds, factorizations)), t_seconds)
     except Exception as exc:  # noqa: BLE001 - the caller records or raises it
-        for index in pending:
-            outcomes[index] = exc
-    runs = dict(sorted(runs.items()))  # cell order, the order of the measured pairs
+        outcomes = [exc] * len(cells)  # the cells of every j not reached
+    # (cell index, factorization, t_seconds) in cell order, the order of the measured pairs
+    runs = [(index, by_j[j][0][seed], by_j[j][1]) for index, (j, seed) in enumerate(cells) if j in by_j]
     if not runs:
         return outcomes
     try:
         op = dft_operator(spec) if spec.transform == "dft" else a
         del a
-        epsilons = power_method_norm(op, minus=[(f.s, f.t) for f, _ in runs.values()])
+        epsilons = power_method_norm(op, minus=[(f.s, f.t) for _, f, _ in runs])
     except Exception as exc:  # noqa: BLE001
-        for index in runs:
+        for index, _, _ in runs:
             outcomes[index] = exc
         return outcomes
-    for (index, (_, t_seconds)), epsilon in zip(runs.items(), epsilons):
+    for (index, _, t_seconds), epsilon in zip(runs, epsilons):
         j, seed = cells[index]
         outcomes[index] = ExperimentRecord(
             m=spec.m,
@@ -180,9 +178,6 @@ def write_csv(path, records: list[ExperimentRecord]) -> None:
             )
 
 
-def write_json(path, records: list[ExperimentRecord], summary: dict | None = None) -> None:
-    payload = {"records": [asdict(rec) for rec in records]}
-    if summary is not None:
-        payload["summary"] = summary
+def write_json(path, records: list[ExperimentRecord], summary: dict) -> None:
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
+        json.dump({"records": [asdict(rec) for rec in records], "summary": summary}, f, indent=2)

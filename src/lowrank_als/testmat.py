@@ -18,7 +18,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from .matrix import gaussian_matrix
 
-# Default cap on the working set of build_test_matrix, in bytes.
+# Cap on the working set of build_test_matrix, in bytes.
 MEMORY_BUDGET = 4 << 30
 
 
@@ -79,7 +79,7 @@ def real_orthogonal_matrix(n: int, seed: int) -> np.ndarray:
     return q
 
 
-def build_test_matrix(spec: TestMatrixSpec, memory_budget: int = MEMORY_BUDGET) -> np.ndarray:
+def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
     """Materialize A = F Sigma G.
 
     Only the first min(m, n) columns of F and rows of G contribute.  For the
@@ -88,7 +88,8 @@ def build_test_matrix(spec: TestMatrixSpec, memory_budget: int = MEMORY_BUDGET) 
     entry (p L/m + c L/n) of h, h repeated twice, where h is the L-point FFT
     of sigma scaled by 1/sqrt(m n).  So A is one FFT and a strided copy of
     [h, h].  Singular values of the result equal sigma_spectrum(spec) by
-    unitary invariance.
+    unitary invariance.  A working set over MEMORY_BUDGET raises
+    MemoryBudgetError before anything is built.
     """
     m, n = spec.m, spec.n
     r = min(m, n)
@@ -98,9 +99,12 @@ def build_test_matrix(spec: TestMatrixSpec, memory_budget: int = MEMORY_BUDGET) 
         # L-entry temporaries of h are freed before the result exists.
         required = r * 8 + (2 * period + m * n) * 16
     else:
-        required = (m * r + 2 * r * n + m * n) * 8
-    if required > memory_budget:
-        raise MemoryBudgetError(required, memory_budget)
+        # A QR of a p-by-p Gaussian peaks at five p-by-p arrays (the Gaussian,
+        # its copy, Q and two LAPACK work copies); F's whole Q outlives its
+        # [:, :r] view, and the product holds F, G, Sigma G and the result.
+        required = max(5 * m * m, m * m + 5 * n * n, m * m + n * n + r * n + m * n) * 8
+    if required > MEMORY_BUDGET:
+        raise MemoryBudgetError(required, MEMORY_BUDGET)
     sig = sigma_spectrum(spec)
     if spec.transform == "dft":
         hh = np.tile(np.fft.fft(sig, n=period) / math.sqrt(m * n), 2)

@@ -69,20 +69,31 @@ class VerificationResult:
     detail: str
 
 
-def check_column_space_theorem(instances: int = 20, max_power: int = 3, tol: float = 1e-8):
+# The checks' fixed protocol: instance counts, powers of A A*, the gate on a
+# subspace or recurrence deviation, and the recurrence instances' condition.
+INSTANCES = 20
+MAX_POWER = 3
+TOL = 1e-8
+DEFICIENT_INSTANCES = 5
+PERTURBATIONS = 100
+N_OPERATORS = 50
+CONDITION = 10.0
+
+
+def check_column_space_theorem():
     """col(S_i) must match col((A A*)^i S_0), compared through orthogonal projectors.
 
     The power-iterate reference is rescaled to unit Frobenius norm after each
     application of A A* to dodge overflow/underflow.
     """
     worst = 0.0
-    for idx in range(instances):
+    for idx in range(INSTANCES):
         a = gaussian_matrix(8, 6, seed=1000 + idx)
-        cfg = AlsConfig(rank_k=2, iterations_j=max_power, seed=idx)
+        cfg = AlsConfig(rank_k=2, iterations_j=MAX_POWER, seed=idx)
         state = als_init(a, cfg)
         reference = state.s.copy()
         aat = a @ adjoint(a)
-        for _ in range(max_power):
+        for _ in range(MAX_POWER):
             als_update_t(state)
             als_update_s(state)
             reference = aat @ reference
@@ -91,8 +102,8 @@ def check_column_space_theorem(instances: int = 20, max_power: int = 3, tol: flo
             worst = max(worst, dist)
     return VerificationResult(
         "column-space theorem",
-        worst <= tol,
-        f"max projector distance {worst:.3e} (tol {tol:.0e})",
+        worst <= TOL,
+        f"max projector distance {worst:.3e} (tol {TOL:.0e})",
     )
 
 
@@ -115,15 +126,15 @@ def _rank_chain(a: np.ndarray, k: int, seed: int) -> list[int]:
     return [int(np.linalg.matrix_rank(x)) for x in chain]
 
 
-def check_rank_chain(random_instances: int = 20, deficient_instances: int = 5):
+def check_rank_chain():
     """The ranks of S_0* A, T_0, A T_0*, S_1, S_1* A, T_1, A T_1*, S_2 all agree."""
     bad = []
-    for idx in range(random_instances):
+    for idx in range(INSTANCES):
         a = gaussian_matrix(8, 6, seed=2000 + idx)
         ranks = _rank_chain(a, k=2, seed=idx)
         if len(set(ranks)) != 1 or ranks[0] != 2:
             bad.append((idx, ranks))
-    for idx in range(deficient_instances):
+    for idx in range(DEFICIENT_INSTANCES):
         # rank(A) = k - 1: the chain settles at k - 1, via the pseudoinverse fallback.
         k = 3
         g = gaussian_matrix(8, k - 1, seed=3000 + idx)
@@ -138,10 +149,10 @@ def check_rank_chain(random_instances: int = 20, deficient_instances: int = 5):
     )
 
 
-def _conditioned_instance(m: int, n: int, seed: int, condition: float = 10.0) -> np.ndarray:
+def _conditioned_instance(m: int, n: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     r = min(m, n)
-    d = np.sort(rng.uniform(1.0 / condition, 1.0, size=r))[::-1]
+    d = np.sort(rng.uniform(1.0 / CONDITION, 1.0, size=r))[::-1]
     d[0] = 1.0
     u = real_orthogonal_matrix(m, seed + 7)
     v = real_orthogonal_matrix(n, seed + 13)
@@ -164,17 +175,17 @@ def _raw_iterates(a: np.ndarray, k: int, iterations: int, seed: int) -> list[np.
     return iterates
 
 
-def check_unrolled_recurrence(instances: int = 20, max_power: int = 3, tol: float = 1e-8):
+def check_unrolled_recurrence():
     """Raw iterates satisfy S_i = (A A*)^i S_0 B_0 ... B_{i-1} with
     B_i = (S_i* A A* S_i)^{-1} S_i* S_i, on condition-bounded instances."""
     worst = 0.0
-    for idx in range(instances):
+    for idx in range(INSTANCES):
         a = _conditioned_instance(8, 6, seed=4000 + idx)
         aat = a @ adjoint(a)
-        s_raw = _raw_iterates(a, k=2, iterations=max_power, seed=idx)
+        s_raw = _raw_iterates(a, k=2, iterations=MAX_POWER, seed=idx)
         product = np.eye(2)
         power = s_raw[0]
-        for i in range(1, max_power + 1):
+        for i in range(1, MAX_POWER + 1):
             s_prev = s_raw[i - 1]
             b_prev = np.linalg.solve(adjoint(s_prev) @ aat @ s_prev, adjoint(s_prev) @ s_prev)
             product = product @ b_prev
@@ -184,16 +195,16 @@ def check_unrolled_recurrence(instances: int = 20, max_power: int = 3, tol: floa
             worst = max(worst, rel)
     return VerificationResult(
         "unrolled recurrence",
-        worst <= tol,
-        f"max relative deviation {worst:.3e} (tol {tol:.0e})",
+        worst <= TOL,
+        f"max relative deviation {worst:.3e} (tol {TOL:.0e})",
     )
 
 
-def check_minimizer_optimality(instances: int = 20, perturbations: int = 100):
+def check_minimizer_optimality():
     """lstsq_solve beats every perturbed T in both the Frobenius and spectral norms."""
     slack_hits = 0
     worst = -np.inf
-    for idx in range(instances):
+    for idx in range(INSTANCES):
         s = gaussian_matrix(6, 2, seed=5000 + idx)
         a = gaussian_matrix(6, 5, seed=5100 + idx)
         t_opt = lstsq_solve(s, a)
@@ -202,7 +213,7 @@ def check_minimizer_optimality(instances: int = 20, perturbations: int = 100):
         norm_f = frobenius_norm(a)
         norm_s = float(small_svd(a).sigma[0])
         rng = np.random.Generator(np.random.PCG64(6000 + idx))
-        for _ in range(perturbations):
+        for _ in range(PERTURBATIONS):
             scale = 10.0 ** rng.uniform(-8, 2)
             t_pert = t_opt + scale * rng.standard_normal(t_opt.shape)
             resid = s @ t_pert - a
@@ -218,11 +229,11 @@ def check_minimizer_optimality(instances: int = 20, perturbations: int = 100):
     )
 
 
-def check_power_method(n_operators: int = 50, n_iters: int = 100):
+def check_power_method():
     """Power-method estimate is a lower bound on sigma_1 and converges when gapped."""
     bad = []
     rng = np.random.Generator(np.random.PCG64(7000))
-    for idx in range(n_operators):
+    for idx in range(N_OPERATORS):
         p = int(rng.integers(2, 65))
         q = int(rng.integers(2, 65))
         if idx % 5 == 0:
@@ -235,7 +246,7 @@ def check_power_method(n_operators: int = 50, n_iters: int = 100):
         else:
             a = gaussian_matrix(p, q, seed=7300 + idx)
         sig = small_svd(a).sigma
-        est = power_method_norm(a, n_iters=n_iters, seed=idx)
+        est = power_method_norm(a, seed=idx)
         if est > sig[0] * (1.0 + 1e-12):
             bad.append((idx, "upper", est, float(sig[0])))
         if sig.size > 1 and sig[0] > 0 and sig[1] <= 0.9 * sig[0]:

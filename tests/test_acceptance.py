@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.
 """
 
+import inspect
 import statistics
 import time
 from collections import defaultdict
@@ -11,9 +12,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from lowrank_als import verify
 from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.bench import SuiteConfig, run_suite
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.spectral import power_method_norm
 from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
 from lowrank_als.verify import (
     check_column_space_theorem,
@@ -93,26 +96,30 @@ def test_criterion_2_table_reproduction_full_size():
 
 
 def test_criterion_3_column_space_theorem():
+    assert (verify.INSTANCES, verify.MAX_POWER, verify.TOL) == (20, 3, 1e-8)
     start = time.perf_counter()
-    res = check_column_space_theorem(instances=20, max_power=3, tol=1e-8)
+    res = check_column_space_theorem()
     elapsed = time.perf_counter() - start
     _report(3, "column-space theorem", res.passed and elapsed < 1.0, f"{res.detail}, {elapsed:.2f}s")
 
 
 def test_criterion_4_rank_chain():
+    assert (verify.INSTANCES, verify.DEFICIENT_INSTANCES) == (20, 5)
     start = time.perf_counter()
-    res = check_rank_chain(random_instances=20, deficient_instances=5)
+    res = check_rank_chain()
     elapsed = time.perf_counter() - start
     _report(4, "rank chain", res.passed and elapsed < 1.0, f"{res.detail}, {elapsed:.2f}s")
 
 
 def test_criterion_5_unrolled_recurrence():
-    res = check_unrolled_recurrence(instances=20, max_power=3, tol=1e-8)
+    assert (verify.INSTANCES, verify.MAX_POWER, verify.TOL) == (20, 3, 1e-8)
+    res = check_unrolled_recurrence()
     _report(5, "unrolled recurrence", res.passed, res.detail)
 
 
 def test_criterion_6_minimizer_optimality():
-    res = check_minimizer_optimality(instances=20, perturbations=100)
+    assert (verify.INSTANCES, verify.PERTURBATIONS) == (20, 100)
+    res = check_minimizer_optimality()
     _report(6, "least-squares minimizer", res.passed, res.detail)
 
 
@@ -142,7 +149,10 @@ def test_criterion_7_optimality_floor_and_monotonicity():
 
 
 def test_criterion_8_power_method_contract():
-    res = check_power_method(n_operators=50, n_iters=100)
+    # The check runs power_method_norm with its default iteration count.
+    assert verify.N_OPERATORS == 50
+    assert inspect.signature(power_method_norm).parameters["n_iters"].default == 100
+    res = check_power_method()
     _report(8, "power-method contract", res.passed, res.detail)
 
 

@@ -8,7 +8,6 @@ from lowrank_als.als import (
     als_init,
     als_run,
     als_trajectories,
-    als_trajectory,
     als_update_s,
     als_update_t,
     approximation_error,
@@ -220,7 +219,7 @@ class TestTrajectory:
     def test_prefixes_equal_standalone_runs(self, a, k):
         big_j = 4
         config = AlsConfig(rank_k=k, iterations_j=big_j, seed=34, track_errors=True)
-        trajectory = list(als_trajectory(a, config))
+        trajectory = [f for (f,) in als_trajectories(a, config, (config.seed,))]
         assert [f.iterations_j for f in trajectory] == list(range(big_j + 1))
         for i, got in enumerate(trajectory):
             cfg = AlsConfig(rank_k=k, iterations_j=i, seed=34, track_errors=True)

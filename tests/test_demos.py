@@ -1,6 +1,8 @@
-"""Every demo runs to completion against the package in src/, and the
-package's public names are unique, importable and exactly the listed API."""
+"""Every demo runs to completion against the package in src/, the
+package's public names are unique, importable and exactly the listed API, and
+its defaulted parameters are exactly the listed options."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -46,6 +48,22 @@ PUBLIC_API = [
     "small_svd",
 ]
 
+# Every (module, function, parameter) in src/lowrank_als with a default.  Each
+# has callers that pass two or more values, or a caller that binds it by name;
+# a setting with one value in use is a module constant instead.
+OPTIONS = [
+    ("als", "als_init", "seeds"),
+    ("als", "approximation_error", "norm"),
+    ("cli", "main", "argv"),
+    ("matrix", "as_matrix", "name"),
+    ("matrix", "gaussian_matrix", "field"),
+    ("spectral", "power_method_norm", "minus"),
+    ("spectral", "power_method_norm", "n_iters"),
+    ("spectral", "power_method_norm", "seed"),
+    ("verify", "lstsq_solve", "rank_deficient_ok"),
+    ("verify", "lstsq_solve_right", "rank_deficient_ok"),
+]
+
 # Names that served only tests; the two test oracles live in tests/oracles.py.
 REMOVED = [
     "DENSE_SVD_BUDGET",
@@ -88,3 +106,27 @@ def test_public_names_unique_and_resolvable():
 def test_public_api_is_the_pipeline():
     assert sorted(lowrank_als.__all__) == PUBLIC_API
     assert [name for name in REMOVED if hasattr(lowrank_als, name)] == []
+
+
+def defaulted_parameters(path: Path) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each parameter with a default in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            found.extend((path.stem, node.name, arg.arg) for arg in defaulted)
+    return found
+
+
+def test_checker_finds_defaulted_parameters(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(a, b=1, *c, d, e=2):\n    def g(h=3):\n        pass\n")
+    assert sorted(defaulted_parameters(path)) == [("mod", "f", "b"), ("mod", "f", "e"), ("mod", "g", "h")]
+
+
+def test_options_are_the_listed_ones():
+    paths = sorted((ROOT / "src" / "lowrank_als").glob("*.py"))
+    assert sorted(option for path in paths for option in defaulted_parameters(path)) == OPTIONS

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lowrank_als import testmat
 from lowrank_als.cli import PAPER_SIZES
 from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.testmat import (
@@ -147,28 +149,50 @@ class TestBuildTestMatrix:
         spec = TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal")
         assert not np.iscomplexobj(build_test_matrix(spec))
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", 1000)
         spec = TestMatrixSpec(64, 64, 2, 1e-3)
         with pytest.raises(MemoryBudgetError) as err:
-            build_test_matrix(spec, memory_budget=1000)
+            build_test_matrix(spec)
         assert err.value.required_bytes > 1000
 
     @pytest.mark.parametrize("shape", [(32, 64), (7, 11), (45, 30)])
-    def test_dft_memory_bound_is_exact(self, shape):
+    def test_dft_memory_bound_is_exact(self, shape, monkeypatch):
         # sigma (real), [h, h] with 2 lcm(m, n) entries and the m-by-n result.
         m, n = shape
         spec = TestMatrixSpec(m, n, 2, 1e-3)
         required = min(m, n) * 8 + (2 * math.lcm(m, n) + m * n) * 16
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", required - 1)
         with pytest.raises(MemoryBudgetError) as err:
-            build_test_matrix(spec, memory_budget=required - 1)
+            build_test_matrix(spec)
         assert err.value.required_bytes == required
-        assert build_test_matrix(spec, memory_budget=required).shape == shape
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", required)
+        assert build_test_matrix(spec).shape == shape
 
-    def test_paper_sizes_fit_default_budget(self):
-        for m, n in PAPER_SIZES:  # the sizes of als-bench --full
-            with pytest.raises(MemoryBudgetError) as err:
-                build_test_matrix(TestMatrixSpec(m, n, 10, 1e-3), memory_budget=0)
-            assert err.value.required_bytes <= MEMORY_BUDGET
+    @pytest.mark.parametrize("shape", [(512, 64), (64, 512), (300, 500), (256, 256)])
+    def test_real_memory_estimate_covers_traced_peak(self, shape, monkeypatch):
+        spec = TestMatrixSpec(*shape, 2, 1e-3, transform="real_orthogonal")
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", 0)
+        with pytest.raises(MemoryBudgetError) as err:
+            build_test_matrix(spec)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            build_test_matrix(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.required_bytes >= peak
+
+    def test_paper_sizes_fit_default_budget(self, monkeypatch):
+        # The sizes of als-bench --full, with either transform; a zero budget
+        # reports the estimate without building anything.
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", 0)
+        for m, n in PAPER_SIZES:
+            for transform in ("dft", "real_orthogonal"):
+                with pytest.raises(MemoryBudgetError) as err:
+                    build_test_matrix(TestMatrixSpec(m, n, 10, 1e-3, transform=transform))
+                assert err.value.required_bytes <= MEMORY_BUDGET
 
 
 class TestDftOperator:
