@@ -14,7 +14,7 @@ from scipy.sparse.linalg._interface import MatrixLinearOperator
 from .matrix import frobenius_norm, gaussian_matrix
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
-# factorization seed; override per call when needed.
+# factorization seed; pass another start vector per call when needed.
 DEFAULT_POWER_SEED = 0x9E3779B9
 
 
@@ -32,17 +32,20 @@ def _normalize_columns(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
-def power_method_norm(op, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED, minus=()):
+def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     """Estimate the spectral norm of ``op`` by power iteration on op* op.
 
     ``op`` is a LinearOperator or anything aslinearoperator accepts, such as a
-    dense array.  Starts from a normalized Gaussian vector v and runs
-    ``n_iters`` steps of u <- normalize(op v), v <- normalize(op* u), then
-    returns ||op v|| for the final unit v.  Normalizing after each apply keeps
-    every iterate a unit vector, so the estimate neither underflows nor
-    overflows for any finite scale of the operator.  The estimate is a
-    Rayleigh-quotient-type lower bound: it never exceeds the true norm beyond
-    rounding.  Returns 0 if the operator annihilates an iterate.
+    dense array.  Starts from v = ``start`` normalized, an n-vector or n-by-1
+    array that is finite and nonzero (``ValueError`` otherwise); the default
+    is gaussian_matrix(n, 1, DEFAULT_POWER_SEED, field) in the field of the
+    operator and the pairs.  Runs ``n_iters`` steps of u <- normalize(op v),
+    v <- normalize(op* u), then returns ||op v|| for the final unit v.
+    Normalizing after each apply keeps every iterate a unit vector, so the
+    estimate neither underflows nor overflows for any finite scale of the
+    operator.  The estimate is a Rayleigh-quotient-type lower bound: it never
+    exceeds the true norm beyond rounding.  Returns 0 if the operator
+    annihilates an iterate.
 
     With ``minus=((s1, t1), (s2, t2), ...)`` it returns a list: the estimate
     of ||op - s_i t_i|| for each pair, in order.  All pairs share one block
@@ -101,8 +104,18 @@ def power_method_norm(op, n_iters: int = 100, seed: int = DEFAULT_POWER_SEED, mi
     else:
         c, apply, apply_adjoint = 1, forward, backward
 
-    field = "complex" if np.issubdtype(dtype, np.complexfloating) else "real"
-    v = gaussian_matrix(n, 1, seed, field)
+    if start is None:
+        field = "complex" if np.issubdtype(dtype, np.complexfloating) else "real"
+        v = gaussian_matrix(n, 1, DEFAULT_POWER_SEED, field)
+    else:
+        v = np.asarray(start)
+        if v.shape not in ((n,), (n, 1)):
+            raise ValueError(f"start of shape {v.shape} does not fit a {m}x{n} operator")
+        v = v.reshape(n, 1)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("start contains non-finite entries")
+        if not np.any(v):
+            raise ValueError("start is zero")
     v = np.repeat(v / frobenius_norm(v), c, axis=1)
     for _ in range(n_iters):
         v = _normalize_columns(apply_adjoint(_normalize_columns(apply(v))))

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .matrix import gaussian_matrix
+from .spectral import DEFAULT_POWER_SEED
 
 # Cap on the working set of build_test_matrix, in bytes.
 MEMORY_BUDGET = 4 << 30
@@ -123,7 +124,9 @@ def dft_operator(spec: TestMatrixSpec) -> LinearOperator:
     the columns of V, scaled by sigma on its first min(m, n) rows and zero
     padded to an m-point FFT; A^H U runs the inverse transforms the same way.
     An apply costs O((m log m + n log n) c) for c columns, against O(m n c)
-    on the dense build, which is the rounding of this operator.
+    on the dense build, which is the rounding of this operator.  Residuals of
+    a wide spec (m <= n) are measured smaller, in dft_coordinates; this
+    operator serves the tall ones.
     """
     if spec.transform != "dft":
         raise ValueError(f"dft_operator needs the dft transform, got {spec.transform!r}")
@@ -145,3 +148,45 @@ def dft_operator(spec: TestMatrixSpec) -> LinearOperator:
         rmatmat=rmatmat,
         dtype=np.complex128,
     )
+
+
+def dft_coordinates(spec: TestMatrixSpec, s_blocks):
+    """The residuals A - S_i S_i^H A of a wide DFT spec in the DFT's coordinates.
+
+    For m <= n, A = F Sigma G_r with F the unitary m-point DFT and G_r the
+    first r = m rows of the n-point one.  With W_i = F^H S_i,
+    A - S_i S_i^H A = F (Sigma - W_i W_i^H Sigma) G_r, whose norm is that of
+    the r-by-r middle factor.  Returns (sigma, pairs, start) for
+    power_method_norm(sigma, start=start, minus=pairs): the diagonal Sigma as
+    an r-by-r operator, the pairs (W_i, W_i^H Sigma), and G_r v_0 for the
+    default start v_0 of a measurement on dft_operator(spec).  Each iterate
+    of that measurement is G_r^H times one of this, so the estimates agree up
+    to rounding.  The pairs take T_i = S_i^H A, the ALS T-update.
+
+    A tall spec (m > n) raises ValueError: its F_r is m-by-r, and dropping
+    the part of S_i outside range(F_r) would cost about eps/delta relative.
+    No benchmark grid is tall, so tall specs stay on dft_operator rather than
+    an (r + k)-by-r completion.
+    """
+    if spec.transform != "dft" or spec.m > spec.n:
+        raise ValueError(f"dft_coordinates needs a dft spec with m <= n, got {spec}")
+    r = spec.m
+    sig = sigma_spectrum(spec)
+
+    def scale(v):
+        return sig[:, None] * v
+
+    sigma = LinearOperator(
+        (r, r),
+        matvec=lambda v: scale(v.reshape(r, 1)),
+        rmatvec=lambda v: scale(v.reshape(r, 1)),
+        matmat=scale,
+        rmatmat=scale,
+        dtype=np.float64,
+    )
+    pairs = []
+    for s in s_blocks:
+        w = np.fft.ifft(s, axis=0, norm="ortho")
+        pairs.append((w, w.conj().T * sig))
+    v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, "complex")
+    return sigma, pairs, np.fft.fft(v0, axis=0, norm="ortho")[:r]

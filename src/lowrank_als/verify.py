@@ -246,7 +246,7 @@ def check_power_method():
         else:
             a = gaussian_matrix(p, q, seed=7300 + idx)
         sig = small_svd(a).sigma
-        est = power_method_norm(a, seed=idx)
+        est = power_method_norm(a, start=gaussian_matrix(q, 1, idx))
         if est > sig[0] * (1.0 + 1e-12):
             bad.append((idx, "upper", est, float(sig[0])))
         if sig.size > 1 and sig[0] > 0 and sig[1] <= 0.9 * sig[0]:

@@ -2,8 +2,9 @@
 
 Nothing here calls the code paths under test: eigenvalues come from a cyclic
 Jacobi sweep, least-squares solutions from explicitly inverted normal
-equations, the residual A - S T from one matrix-vector product per term, and
-the discrete Fourier transform from its entry formula.
+equations, the residual A - S T from one matrix-vector product per term, the
+discrete Fourier transform from its entry formula, and the exact residual
+norm of a wide DFT test matrix from a dense SVD in the DFT's coordinates.
 """
 
 import numpy as np
@@ -92,3 +93,15 @@ def dft_matrix(n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     q = np.arange(n)
     return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)
+
+
+def dft_residual_norm(sigma: np.ndarray, s: np.ndarray) -> float:
+    """sigma_max(Sigma - W W^H Sigma) with W = F^H S, by a dense SVD of the r-by-r matrix.
+
+    For a wide DFT test matrix A = F Sigma G_r (F the unitary r-point DFT,
+    G_r with orthonormal rows), this is ||A - S S^H A||_2 exactly, up to the
+    rounding of the SVD.  W comes from dft_matrix, not from an FFT.
+    """
+    w = dft_matrix(len(sigma)).conj().T @ s
+    residual = np.diag(sigma) - w @ (w.conj().T * sigma)
+    return float(np.linalg.svd(residual, compute_uv=False)[0])

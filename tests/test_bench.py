@@ -17,7 +17,9 @@ from lowrank_als.bench import (
 )
 from lowrank_als.matrix import small_svd
 from lowrank_als.spectral import power_method_norm
-from lowrank_als.testmat import TestMatrixSpec, build_test_matrix
+from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
+
+from oracles import dft_residual_norm
 
 SMALL_SPEC = TestMatrixSpec(32, 64, 2, 1e-3)
 
@@ -178,27 +180,46 @@ OPERATOR_SUITE = SuiteConfig(
     seeds=(0,),
 )
 
-# The bench measures a DFT matrix on the exact F Sigma G; the dense A is its
-# rounding, ||A - F Sigma G||_2 <= about log2(m n) * eps * ||A|| (19 at
-# 512x1024), and forming A - S T and its SVD add a few eps * ||A|| more.
-# ||A|| = 1 here.
+# The bench measures a wide DFT matrix on the exact Sigma - W W^H Sigma in the
+# DFT's coordinates; the dense A is the rounding of F Sigma G,
+# ||A - F Sigma G||_2 <= about log2(m n) * eps * ||A|| (19 at 512x1024), and
+# forming A - S T, W and the SVDs add a few eps * ||A|| more.  ||A|| = 1 here.
 ROUNDING_ALLOWANCE = 32 * np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
-def operator_cells():
-    """(record, dense-A epsilon, dense-SVD truth) per cell of OPERATOR_SUITE."""
+def operator_runs():
+    """(spec, dense A, records, factorizations) per test matrix of OPERATOR_SUITE."""
     records, summary = run_suite(OPERATOR_SUITE)
     assert not summary["failures"]
-    cells = []
+    runs = []
     for k, delta in OPERATOR_SUITE.rank_deltas:
+        spec = TestMatrixSpec(512, 1024, k, delta)
         recs = [r for r in records if (r.k, r.delta) == (k, delta)]
-        a = build_test_matrix(TestMatrixSpec(512, 1024, k, delta))
+        a = build_test_matrix(spec)
         facts = [als_run(a, AlsConfig(rank_k=k, iterations_j=r.j, seed=r.seed)) for r in recs]
+        runs.append((spec, a, recs, facts))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def operator_cells(operator_runs):
+    """(record, dense-A epsilon, dense-SVD truth) per cell of OPERATOR_SUITE."""
+    cells = []
+    for _, a, recs, facts in operator_runs:
         dense = power_method_norm(a, minus=[(f.s, f.t) for f in facts])
         truths = [small_svd(a - f.s @ f.t).sigma[0] for f in facts]
         cells.extend(zip(recs, dense, truths))
     return cells
+
+
+@pytest.fixture(scope="module")
+def exact_cells(operator_runs, operator_cells):
+    """(record, dense-SVD truth, exact reduced residual norm) per cell of OPERATOR_SUITE."""
+    exact = [
+        dft_residual_norm(sigma_spectrum(spec), f.s) for spec, _, _, facts in operator_runs for f in facts
+    ]
+    return [(rec, truth, x) for (rec, _, truth), x in zip(operator_cells, exact)]
 
 
 class TestOperatorMeasurement:
@@ -216,6 +237,64 @@ class TestOperatorMeasurement:
         for rec, _, truth in operator_cells:
             if rec.j >= 2:
                 assert truth / rec.delta <= 1.05
+
+
+class TestExactYardstick:
+    """sigma_max(Sigma - W W^H Sigma), the residual's exact norm in the DFT's coordinates."""
+
+    def test_matches_dense_svd_truth(self, exact_cells):
+        for _, truth, exact in exact_cells:
+            assert abs(exact - truth) <= ROUNDING_ALLOWANCE
+
+    def test_near_optimal_from_two_iterations(self, exact_cells):
+        # The paper's claim without the power method's bias.
+        assert sum(rec.j >= 2 for rec, _, _ in exact_cells) == 8
+        for rec, _, exact in exact_cells:
+            if rec.j >= 2:
+                assert exact / rec.delta <= 1.05
+
+    def test_estimate_at_most_exact(self, exact_cells):
+        for rec, _, exact in exact_cells:
+            assert rec.epsilon <= exact + ROUNDING_ALLOWANCE
+
+
+class TestMeasurementPath:
+    """A wide or square DFT matrix is measured in the DFT's coordinates, a tall one on dft_operator."""
+
+    @pytest.mark.parametrize(
+        "size, path", [((96, 96), "dft_coordinates"), ((96, 48), "dft_operator")], ids=["square", "tall"]
+    )
+    def test_matches_dense_measurement(self, monkeypatch, size, path):
+        import lowrank_als.bench as bench
+
+        calls = {"dft_coordinates": 0, "dft_operator": 0}
+        for name in calls:
+            real = getattr(bench, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(bench, name, counted)
+        config = SuiteConfig(
+            sizes=(size,), rank_deltas=((2, 1e-3), (2, 1e-11)), iteration_counts=(0, 2), seeds=(0, 1)
+        )
+        records, summary = run_suite(config)
+        assert not summary["failures"] and len(records) == 8
+        assert calls == {"dft_coordinates": 0, "dft_operator": 0, path: 2}
+        for k, delta in config.rank_deltas:
+            recs = [r for r in records if r.delta == delta]
+            a = build_test_matrix(TestMatrixSpec(*size, k, delta))
+            facts = [als_run(a, AlsConfig(rank_k=k, iterations_j=r.j, seed=r.seed)) for r in recs]
+            dense = power_method_norm(a, minus=[(f.s, f.t) for f in facts])
+            # Both measurements follow the same iterates, and the dense A is
+            # the rounding of F Sigma G, a few eps * ||A|| away.  An epsilon
+            # is at least about delta, so the relative tolerance is
+            # 32 eps ||A|| / delta (||A|| = 1): 7e-12 at delta = 1e-3 and
+            # 7e-4 at delta = 1e-11.
+            tol = ROUNDING_ALLOWANCE / delta
+            for rec, want in zip(recs, dense):
+                assert abs(rec.epsilon - want) <= tol * want
 
 
 class TestOutputFormats:

@@ -59,7 +59,7 @@ OPTIONS = [
     ("matrix", "gaussian_matrix", "field"),
     ("spectral", "power_method_norm", "minus"),
     ("spectral", "power_method_norm", "n_iters"),
-    ("spectral", "power_method_norm", "seed"),
+    ("spectral", "power_method_norm", "start"),
     ("verify", "lstsq_solve", "rank_deficient_ok"),
     ("verify", "lstsq_solve_right", "rank_deficient_ok"),
 ]

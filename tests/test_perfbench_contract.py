@@ -48,9 +48,10 @@ def test_traced_pass_counts(spans, tmp_path):
     # half-step.
     assert metrics["als.passes_over_a"] == (1 + 5) + (1 + 2 * 3)
     # Both cells of the one matrix share one measurement of 100 power
-    # iterations: 2 * 100 + 1 passes over the complex 32x64 A.
+    # iterations: 2 * 100 + 1 applies of the operator measured, which for
+    # this wide DFT matrix is the real 32x32 Sigma in the DFT's coordinates.
     assert metrics["spectral.passes_over_a"] == 201
-    assert metrics["spectral.bytes_a"] == 201 * 32 * 64 * 16
+    assert metrics["spectral.bytes_a"] == 201 * 32 * 32 * 8
     assert metrics["testmat.build_calls"] == 1
     # Header plus payload of S (16x3) and T (3x12).
     assert metrics["io.bytes_written"] == 2 * spans.HEADER_BYTES + (16 * 3 + 3 * 12) * 8

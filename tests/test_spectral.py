@@ -6,7 +6,7 @@ from scipy.sparse.linalg import aslinearoperator, svds
 
 from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
-from lowrank_als.spectral import power_method_norm
+from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 
 from oracles import residual_operator
 
@@ -18,7 +18,7 @@ class TestOperators:
         op = aslinearoperator(a)
         v = gaussian_matrix(3, 1, seed=1)[:, 0]
         assert np.allclose(op.matvec(v), a @ v)
-        assert power_method_norm(a, n_iters=10, seed=0) == power_method_norm(op, n_iters=10, seed=0)
+        assert power_method_norm(a, n_iters=10, start=v) == power_method_norm(op, n_iters=10, start=v)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_residual_adjoint_consistency(self, field):
@@ -53,21 +53,21 @@ class TestOperators:
 
 class TestPowerMethodNorm:
     def test_diagonal(self):
-        est = power_method_norm(np.diag([3.0, 1.0]), n_iters=100, seed=0)
+        est = power_method_norm(np.diag([3.0, 1.0]), n_iters=100, start=gaussian_matrix(2, 1, 0))
         assert abs(est - 3.0) <= 1e-10
 
     def test_identity(self):
-        est = power_method_norm(np.eye(5), n_iters=100, seed=0)
+        est = power_method_norm(np.eye(5), n_iters=100, start=gaussian_matrix(5, 1, 0))
         assert abs(est - 1.0) <= 1e-12
 
     def test_random_matches_svd(self):
         a = gaussian_matrix(6, 4, seed=8)
-        est = power_method_norm(a, n_iters=100, seed=1)
+        est = power_method_norm(a, n_iters=100, start=gaussian_matrix(4, 1, 1))
         top = small_svd(a).sigma[0]
         assert abs(est - top) <= 1e-8 * top
 
     def test_zero_operator(self):
-        assert power_method_norm(np.zeros((4, 3)), n_iters=10, seed=0) == 0.0
+        assert power_method_norm(np.zeros((4, 3)), n_iters=10, start=gaussian_matrix(3, 1, 0)) == 0.0
 
     def test_requires_positive_iterations(self):
         with pytest.raises(ValueError):
@@ -76,31 +76,31 @@ class TestPowerMethodNorm:
     @pytest.mark.parametrize("seed", range(10))
     def test_lower_bound(self, seed):
         a = gaussian_matrix(12, 9, seed=300 + seed)
-        est = power_method_norm(a, n_iters=30, seed=seed)
+        est = power_method_norm(a, n_iters=30, start=gaussian_matrix(9, 1, seed))
         top = small_svd(a).sigma[0]
         assert est <= top * (1 + 1e-12)
 
     def test_monotone_in_iterations(self):
         a = gaussian_matrix(10, 7, seed=9)
-        lo = power_method_norm(a, n_iters=50, seed=2)
-        hi = power_method_norm(a, n_iters=200, seed=2)
+        lo = power_method_norm(a, n_iters=50, start=gaussian_matrix(7, 1, 2))
+        hi = power_method_norm(a, n_iters=200, start=gaussian_matrix(7, 1, 2))
         assert hi >= lo - 1e-12
 
     @pytest.mark.parametrize("ratio", [0.3, 0.5, 0.9])
     def test_gap_convergence(self, ratio):
         d = np.array([1.0, ratio, ratio / 2, ratio / 4])
         n_iters = 40
-        est = power_method_norm(np.diag(d), n_iters=n_iters, seed=3)
+        est = power_method_norm(np.diag(d), n_iters=n_iters, start=gaussian_matrix(4, 1, 3))
         assert abs(est - 1.0) <= ratio ** (2 * n_iters) + 1e-10
 
     def test_degenerate_top_singular_value(self):
         # Multiplicity two at the top: still converges to the norm.
-        est = power_method_norm(np.diag([2.0, 2.0, 0.5]), n_iters=100, seed=4)
+        est = power_method_norm(np.diag([2.0, 2.0, 0.5]), n_iters=100, start=gaussian_matrix(3, 1, 4))
         assert abs(est - 2.0) <= 1e-10
 
     def test_complex_operator(self):
         a = gaussian_matrix(6, 5, seed=10, field="complex")
-        est = power_method_norm(a, n_iters=100, seed=5)
+        est = power_method_norm(a, n_iters=100, start=gaussian_matrix(5, 1, 5, "complex"))
         top = small_svd(a).sigma[0]
         assert abs(est - top) <= 1e-8 * top
 
@@ -117,8 +117,49 @@ class TestPowerMethodNorm:
         # vector carries the square of the operator's scale.
         a = gaussian_matrix(rows, cols, seed, field)
         c = 10.0**exponent
-        want = power_method_norm(a, n_iters=20, seed=seed)
-        assert abs(power_method_norm(c * a, n_iters=20, seed=seed) / c - want) <= 1e-10 * want
+        v = gaussian_matrix(cols, 1, seed, field)
+        want = power_method_norm(a, n_iters=20, start=v)
+        assert abs(power_method_norm(c * a, n_iters=20, start=v) / c - want) <= 1e-10 * want
+
+
+class TestStart:
+    """power_method_norm(op, start=v): the start vector, validated."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_gaussian_start_equals_default_seed(self, field):
+        # The default start is gaussian_matrix(n, 1, DEFAULT_POWER_SEED) in the
+        # operator's field; passed explicitly, it gives the same bits.
+        a = gaussian_matrix(7, 5, seed=40, field=field)
+        pair = (gaussian_matrix(7, 2, seed=42, field=field), gaussian_matrix(2, 5, seed=43, field=field))
+        start = gaussian_matrix(5, 1, DEFAULT_POWER_SEED, field)
+        assert power_method_norm(a, start=start) == power_method_norm(a)
+        assert power_method_norm(a, start=start, minus=[pair]) == power_method_norm(a, minus=[pair])
+
+    def test_vector_and_column_agree(self):
+        a = gaussian_matrix(7, 5, seed=44)
+        v = gaussian_matrix(5, 1, seed=45)
+        assert power_method_norm(a, start=v[:, 0]) == power_method_norm(a, start=v)
+
+    def test_start_scale_is_irrelevant(self):
+        a = gaussian_matrix(7, 5, seed=46)
+        v = gaussian_matrix(5, 1, seed=47)
+        assert power_method_norm(a, start=4.0 * v) == power_method_norm(a, start=v)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (4, 1), (5, 2), (1, 5)])
+    def test_wrong_length_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not fit"):
+            power_method_norm(gaussian_matrix(7, 5, seed=48), start=np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        v = np.ones(5, dtype=type(bad))
+        v[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            power_method_norm(gaussian_matrix(7, 5, seed=49), start=v)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="zero"):
+            power_method_norm(gaussian_matrix(7, 5, seed=50), start=np.zeros((5, 1)))
 
 
 class TestSharedMeasurement:

@@ -9,11 +9,13 @@ import pytest
 from lowrank_als import testmat
 from lowrank_als.cli import PAPER_SIZES
 from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 from lowrank_als.testmat import (
     MEMORY_BUDGET,
     MemoryBudgetError,
     TestMatrixSpec,
     build_test_matrix,
+    dft_coordinates,
     dft_operator,
     real_orthogonal_matrix,
     sigma_spectrum,
@@ -212,3 +214,56 @@ class TestDftOperator:
     def test_real_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="dft"):
             dft_operator(TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal"))
+
+
+def _orthonormal_blocks(m, widths, seed):
+    return [np.linalg.qr(gaussian_matrix(m, k, seed + i, "complex"))[0] for i, k in enumerate(widths)]
+
+
+class TestDftCoordinates:
+    @pytest.mark.parametrize("shape", [(32, 64), (37, 50), (40, 40)])
+    def test_parts_match_dense_coordinates(self, shape):
+        spec = TestMatrixSpec(*shape, 2, 1e-3)
+        r = spec.m
+        sig = sigma_spectrum(spec)
+        blocks = _orthonormal_blocks(r, (2, 3), seed=5)
+        sigma, pairs, start = dft_coordinates(spec, blocks)
+        assert sigma.shape == (r, r) and sigma.dtype == np.float64
+        x = gaussian_matrix(r, 2, seed=9, field="complex")
+        assert np.array_equal(sigma.matmat(x), sig[:, None] * x)
+        assert np.array_equal(sigma.rmatvec(x[:, 0]), sig * x[:, 0])
+        f_h = dft_matrix(r).conj().T
+        for s, (w, wh_sigma) in zip(blocks, pairs):
+            assert np.max(np.abs(w - f_h @ s)) <= 1e-14
+            assert np.array_equal(wh_sigma, adjoint(w) * sig)
+        v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, "complex")
+        g_r = dft_matrix(spec.n)[:r]
+        assert start.shape == (r, 1)
+        assert np.max(np.abs(start - g_r @ v0)) <= 1e-13
+        # The residual maps G_r^H x to F (Sigma - W W^H Sigma) x, so both
+        # have one norm: the power iterations follow the same iterates.
+        a = build_test_matrix(spec)
+        s, (w, wh_sigma) = blocks[0], pairs[0]
+        full = (a - s @ (adjoint(s) @ a)) @ (adjoint(g_r) @ x)
+        reduced = sig[:, None] * x - w @ (wh_sigma @ x)
+        assert np.max(np.abs(full - dft_matrix(r) @ reduced)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(32, 64), (37, 50), (40, 40)])
+    def test_measurement_matches_dft_operator(self, shape):
+        spec = TestMatrixSpec(*shape, 2, 1e-3)
+        op = dft_operator(spec)
+        blocks = _orthonormal_blocks(spec.m, (2, 3), seed=11)
+        want = power_method_norm(op, minus=[(s, adjoint(op.rmatmat(s))) for s in blocks])
+        sigma, pairs, start = dft_coordinates(spec, blocks)
+        got = power_method_norm(sigma, start=start, minus=pairs)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+
+    @pytest.mark.parametrize(
+        "spec",
+        [TestMatrixSpec(48, 32, 2, 1e-3), TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal")],
+        ids=["tall", "real_orthogonal"],
+    )
+    def test_tall_and_real_rejected(self, spec):
+        with pytest.raises(ValueError, match="m <= n"):
+            dft_coordinates(spec, [np.zeros((spec.m, 1))])
