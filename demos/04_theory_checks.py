@@ -11,16 +11,8 @@ Three facts drive the whole method, and each is checkable on a small matrix:
 
 import numpy as np
 
-from lowrank_als import (
-    AlsConfig,
-    adjoint,
-    als_init,
-    als_update_s,
-    als_update_t,
-    frobenius_norm,
-    gaussian_matrix,
-    small_svd,
-)
+from lowrank_als import AlsConfig, frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.als import als_init, als_update_s, als_update_t
 from lowrank_als.verify import lstsq_solve, projector
 
 a = gaussian_matrix(10, 8, seed=3)
@@ -28,7 +20,7 @@ a = gaussian_matrix(10, 8, seed=3)
 # 1. Column spaces: compare orthogonal projectors.
 state = als_init(a, AlsConfig(rank_k=2, iterations_j=3, seed=0))
 reference = state.s.copy()
-aat = a @ adjoint(a)
+aat = a @ a.conj().T
 print("projector distance between col(S_i) and col((A A*)^i S_0):")
 for i in range(1, 4):
     als_update_t(state)
@@ -41,7 +33,7 @@ for i in range(1, 4):
 # 2. The rank chain.
 s0 = gaussian_matrix(10, 2, seed=1)
 t0 = lstsq_solve(s0, a)
-chain = {"S0* A": adjoint(s0) @ a, "T0": t0, "A T0*": a @ adjoint(t0)}
+chain = {"S0* A": s0.conj().T @ a, "T0": t0, "A T0*": a @ t0.conj().T}
 print("\nrank chain:", {name: int(np.linalg.matrix_rank(mat)) for name, mat in chain.items()})
 
 # 3. Simultaneous minimization in both norms.

@@ -3,24 +3,14 @@
 from .als import (
     AlsConfig,
     Factorization,
-    als_init,
     als_run,
-    als_update_s,
-    als_update_t,
     approximation_error,
     load_factorization,
     save_factorization,
 )
 from .bench import ExperimentRecord, SuiteConfig, run_suite
 from .io import load_matrix, save_matrix
-from .matrix import (
-    SvdTriplet,
-    adjoint,
-    frobenius_norm,
-    gaussian_matrix,
-    orthonormal_basis,
-    small_svd,
-)
+from .matrix import SvdTriplet, frobenius_norm, gaussian_matrix, small_svd
 from .spectral import DEFAULT_POWER_SEED, power_method_norm
 from .svd_convert import factorization_to_svd
 from .testmat import (
@@ -42,11 +32,7 @@ __all__ = [
     "SuiteConfig",
     "SvdTriplet",
     "TestMatrixSpec",
-    "adjoint",
-    "als_init",
     "als_run",
-    "als_update_s",
-    "als_update_t",
     "approximation_error",
     "build_test_matrix",
     "factorization_to_svd",
@@ -54,7 +40,6 @@ __all__ = [
     "gaussian_matrix",
     "load_factorization",
     "load_matrix",
-    "orthonormal_basis",
     "power_method_norm",
     "real_orthogonal_matrix",
     "run_suite",

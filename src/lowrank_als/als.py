@@ -9,10 +9,16 @@ col(S_i) = col((A A*)^i S_0), so the final approximation depends on S only
 through its column space.  The iteration therefore keeps S orthonormal: each
 T-update is T = S* A, and each S-update orthonormalizes A Q, where the columns
 of Q are an orthonormal basis of col(T*).  A T^+ = A Q R^{-*} spans the same
-columns, so this is the least-squares S-update up to a change of basis.  A is
-validated once, by als_init, and used as given by both half-steps.  The
-textbook iterates without re-orthonormalization live in verify.py, as the
-reference for the unrolled recurrence.
+columns, so this is the least-squares S-update up to a change of basis.  The
+products A V (the sketch and A Q) are matrix.times.  The textbook iterates
+without re-orthonormalization live in verify.py, as the reference for the
+unrolled recurrence.
+
+A is validated once, where it enters the package: als_run passes it through
+as_matrix, while als_init and als_trajectories take a validated array (as
+as_matrix returns it, or as build_test_matrix builds it) and use it as given,
+as do both half-steps.  A NaN or inf in A still fails loudly: it reaches the
+sketch A Omega, whose QR raises ValueError.
 
 Several random starts of one matrix run as one batch (als_trajectories): the
 state holds the seeds' blocks side by side, so each half-step makes one
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .matrix import adjoint, as_matrix, frobenius_norm, gaussian_matrix, orthonormal_basis
+from .matrix import as_matrix, frobenius_norm, gaussian_matrix, orthonormal_basis, times
 from .spectral import power_method_norm
 
 
@@ -112,11 +118,12 @@ def _validate(config: AlsConfig, shape) -> None:
 
 
 def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
-    """Validate A and draw the orthonormalized random start S_0.
+    """Draw the orthonormalized random start S_0 for the validated matrix ``a``.
 
-    ``seeds`` are the random starts of a batch, one block of S_0 each; when
-    they are given, ``config.seed`` is ignored.  By default the batch is the
-    one start ``config.seed``.  The sketch is one product of A
+    ``a`` is used as given: a 2-d float64/complex128 array, as as_matrix
+    returns it.  ``seeds`` are the random starts of a batch, one block of S_0
+    each; when they are given, ``config.seed`` is ignored.  By default the
+    batch is the one start ``config.seed``.  The sketch is one product of A
     with the seeds' Omegas side by side.  A state of several seeds does not
     track errors.
 
@@ -128,7 +135,6 @@ def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
     Raises ValueError when the sketch has numerical rank 0 (A is zero to
     working precision).
     """
-    a = as_matrix(a)
     _validate(config, a.shape)
     seeds = (config.seed,) if seeds is None else tuple(seeds)
     if not seeds:
@@ -136,7 +142,7 @@ def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
     if config.track_errors and len(seeds) > 1:
         raise ValueError("error tracking needs a state of one seed")
     fld = "complex" if np.iscomplexobj(a) else "real"
-    sketch = a @ np.hstack([gaussian_matrix(a.shape[1], config.rank_k, seed, fld) for seed in seeds])
+    sketch = times(a, np.hstack([gaussian_matrix(a.shape[1], config.rank_k, seed, fld) for seed in seeds]))
     widths = (config.rank_k,) * len(seeds)
     s0, widths = _bases_side_by_side((sketch[:, cols] for cols in _slices(widths)), widths)
     if min(widths) == 0:
@@ -150,7 +156,7 @@ def als_update_t(state: AlsState) -> AlsState:
     One product with A for every seed: row block b of T is S_b* A.
     """
     state.t = None  # the old T is not needed; free it before the product
-    state.t = adjoint(state.s) @ state.a
+    state.t = state.s.conj().T @ state.a
     if state.config.track_errors:
         state.error_trace.append(frobenius_norm(state.s @ state.t - state.a))
     return state
@@ -165,10 +171,10 @@ def als_update_s(state: AlsState) -> AlsState:
     orthonormalized on its own.  The tracked residual is that of the
     minimizer, ||A Q Q* - A||.
     """
-    q, widths = _bases_side_by_side((adjoint(state.t[rows]) for rows in _slices(state.widths)), state.widths)
-    aq = state.a @ q
+    q, widths = _bases_side_by_side((state.t[rows].conj().T for rows in _slices(state.widths)), state.widths)
+    aq = times(state.a, q)
     if state.config.track_errors:
-        state.error_trace.append(frobenius_norm(aq @ adjoint(q) - state.a))
+        state.error_trace.append(frobenius_norm(aq @ q.conj().T - state.a))
     del q  # the batch's Q is not needed by the per-seed bases below
     state.s, state.widths = _bases_side_by_side((aq[:, cols] for cols in _slices(widths)), widths)
     return state
@@ -178,8 +184,9 @@ def als_trajectories(a, config: AlsConfig, seeds):
     """Yield, after each T-update i = 0..iterations_j, the list of
     Factorizations (S_i, T_i), one per entry of ``seeds``, in order.
 
-    The seeds run as one batch, so each half-step makes one product with A
-    for all of them (config.seed is not used).  With one seed, the value at
+    ``a`` is a validated array, used as given (see als_init).  The seeds run
+    as one batch, so each half-step makes one product with A for all of them
+    (config.seed is not used).  With one seed, the value at
     i is, bit for bit, als_run with iterations_j = i, so a caller that needs
     several iteration counts of one seed runs the iteration once; with
     several, error tracking is refused and each value differs from the
@@ -206,9 +213,10 @@ def als_run(a, config: AlsConfig) -> Factorization:
 
     The output is (S_j, T_j): T is always optimal for the final S.  With
     iterations_j = 0 this is the pure random-projection baseline (S_0, T_0).
-    It is the last value of the one-seed als_trajectories of config.seed.
+    It is the last value of the one-seed als_trajectories of config.seed,
+    run on ``a`` validated by as_matrix.
     """
-    for (factorization,) in als_trajectories(a, config, (config.seed,)):
+    for (factorization,) in als_trajectories(as_matrix(a), config, (config.seed,)):
         pass
     return factorization
 

@@ -64,7 +64,8 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     """A record, or the exception that stopped it, for each (j, seed) cell of one matrix.
 
     Builds the dense A of ``spec`` (and raises what the build raises), runs
-    the cells' seeds as one ALS batch on it, up to the largest j, and keeps
+    the cells' seeds as one ALS batch on it as built (a finite C-ordered
+    array, so it is not validated again), up to the largest j, and keeps
     each cell's factors at its own j.  Its t_seconds is the batch's time from
     the start of the sketch to the moment T_j exists, divided by the number
     of seeds: a one-seed batch makes the operations of a standalone run of

@@ -27,7 +27,7 @@ def save_matrix(path, a) -> None:
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, tag, a.shape[0], a.shape[1]))
         dtype = "<c16" if tag else "<f8"
-        np.ascontiguousarray(a).astype(dtype, copy=False).tofile(f)
+        a.astype(dtype, copy=False).tofile(f)
 
 
 def load_matrix(path) -> np.ndarray:

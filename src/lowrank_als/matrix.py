@@ -1,9 +1,13 @@
-"""Dense matrix kernels: validation, norm, sampling, small SVD, column bases.
+"""Dense matrix kernels: validation, the product A V, norm, sampling, small
+SVD, column bases.
 
-All routines operate on plain numpy arrays (row-major, float64 or complex128)
-and add only what numpy/scipy lack; callers use numpy/scipy directly for the
-rest (QR, rank, least squares).  The adjoint of a matrix is its conjugate
-transpose throughout.
+as_matrix validates a matrix once, where it enters the package: als_run,
+approximation_error, factorization_to_svd, small_svd and the io readers and
+writers call it.  times and orthonormal_basis take arrays as given, as the
+ALS iteration hands them over.  All routines operate on plain numpy arrays
+(row-major, float64 or complex128) and add only what numpy/scipy lack;
+callers use numpy/scipy directly for the rest (QR, rank, least squares, the
+adjoint ``x.conj().T`` and the product U* A).
 """
 
 from __future__ import annotations
@@ -33,9 +37,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+def times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The product A V of a row-major A with a block V of few columns.
+
+    Computed as (V^T A^T)^T, which multiplies a block of rows into A as
+    stored: for few columns it ran faster than A @ V at one BLAS thread
+    (19 ms against 25 ms at 2048x4096 with two complex columns).  The result
+    is column-major, the layout a QR of its column blocks takes.
+    """
+    return (v.T @ a.T).T
 
 
 def frobenius_norm(a) -> float:
@@ -84,16 +94,16 @@ def small_svd(a) -> SvdTriplet:
     if a.size > DENSE_SVD_BUDGET:
         raise ValueError(f"matrix with {a.size} entries exceeds dense SVD budget {DENSE_SVD_BUDGET}")
     u, sig, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdTriplet(u, sig, adjoint(vh))
+    return SvdTriplet(u, sig, vh.conj().T)
 
 
 def orthonormal_basis(a) -> np.ndarray:
     """Orthonormal basis of col(a) from rank-revealing (column-pivoted) QR.
 
-    Returns an m-by-r matrix where r is the estimated rank; the zero matrix
-    yields an m-by-0 result.
+    ``a`` is a 2-d float64/complex128 array with positive dimensions; scipy
+    raises ValueError for non-finite entries.  Returns an m-by-r matrix where
+    r is the estimated rank; the zero matrix yields an m-by-0 result.
     """
-    a = as_matrix(a)
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     # Diagonal entries of r below max(m, n) * eps * max|r_ii| count as zero.
     diag = np.abs(np.diagonal(r))

@@ -11,7 +11,7 @@ from scipy.linalg import get_blas_funcs
 from scipy.sparse.linalg import aslinearoperator
 from scipy.sparse.linalg._interface import MatrixLinearOperator
 
-from .matrix import frobenius_norm, gaussian_matrix
+from .matrix import frobenius_norm, gaussian_matrix, times
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
 # factorization seed; pass another start vector per call when needed.
@@ -55,7 +55,7 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     op - s_i t_i in exact arithmetic and differs from it only by rounding,
     because a matrix-matrix product sums in another order than a
     matrix-vector one.
-    A dense ``op`` is applied as (V^T A^T)^T and (U* A)*, never as a
+    A dense ``op`` is applied as matrix.times(A, V) and (U* A)*, never as a
     conjugated copy.
     """
     if n_iters < 1:
@@ -68,12 +68,11 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
             raise ValueError(f"pair shapes {s.shape} and {t.shape} do not fit a {m}x{n} operator")
     if isinstance(op, MatrixLinearOperator):
         # An array and aslinearoperator(array) take this same path.  Both
-        # applies multiply a block of rows into A as stored: for few columns
-        # V^T A^T ran faster than A V at one BLAS thread.
+        # applies multiply a block of rows into A as stored.
         a = op.A
 
         def forward(v):
-            return (v.T @ a.T).T
+            return times(a, v)
 
         def backward(u):
             return (u.conj().T @ a).conj().T

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import SvdTriplet, as_matrix, small_svd
+from .matrix import SvdTriplet, as_matrix
 
 
 def factorization_to_svd(s, t) -> SvdTriplet:
@@ -26,11 +26,11 @@ def factorization_to_svd(s, t) -> SvdTriplet:
     if k > min(s.shape[0], t.shape[1]):
         raise ValueError("inner dimension k must not exceed min(m, n)")
     q, r = np.linalg.qr(s)
-    inner = small_svd(r @ t)
-    u = q @ inner.u
-    v = inner.v
-    u, v = _canonicalize_phases(u, v)
-    return SvdTriplet(u, inner.sigma, v)
+    # r @ t is k-by-n and finite: an SVD of it costs O(n k^2), so the dense
+    # budget of small_svd does not apply.
+    inner_u, sigma, inner_vh = np.linalg.svd(r @ t, full_matrices=False)
+    u, v = _canonicalize_phases(q @ inner_u, inner_vh.conj().T)
+    return SvdTriplet(u, sigma, v)
 
 
 def _canonicalize_phases(u: np.ndarray, v: np.ndarray):

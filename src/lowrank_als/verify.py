@@ -16,13 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .als import AlsConfig, als_init, als_update_s, als_update_t
-from .matrix import (
-    adjoint,
-    frobenius_norm,
-    gaussian_matrix,
-    orthonormal_basis,
-    small_svd,
-)
+from .matrix import frobenius_norm, gaussian_matrix, orthonormal_basis, small_svd
 from .spectral import power_method_norm
 from .testmat import real_orthogonal_matrix
 
@@ -49,7 +43,7 @@ def lstsq_solve(s, a, rank_deficient_ok: bool = False) -> np.ndarray:
 
 def lstsq_solve_right(t, a, rank_deficient_ok: bool = False) -> np.ndarray:
     """Return the S minimizing ||S T - A||; the adjoint problem of lstsq_solve."""
-    return adjoint(lstsq_solve(adjoint(t), adjoint(a), rank_deficient_ok))
+    return lstsq_solve(t.conj().T, a.conj().T, rank_deficient_ok).conj().T
 
 
 def projector(a) -> np.ndarray:
@@ -59,7 +53,7 @@ def projector(a) -> np.ndarray:
     maps to the zero projector.
     """
     q = orthonormal_basis(a)
-    return q @ adjoint(q)
+    return q @ q.conj().T
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ def check_column_space_theorem():
         cfg = AlsConfig(rank_k=2, iterations_j=MAX_POWER, seed=idx)
         state = als_init(a, cfg)
         reference = state.s.copy()
-        aat = a @ adjoint(a)
+        aat = a @ a.conj().T
         for _ in range(MAX_POWER):
             als_update_t(state)
             als_update_s(state)
@@ -114,13 +108,13 @@ def _rank_chain(a: np.ndarray, k: int, seed: int) -> list[int]:
     t1 = lstsq_solve(s1, a, rank_deficient_ok=True)
     s2 = lstsq_solve_right(t1, a, rank_deficient_ok=True)
     chain = [
-        adjoint(s0) @ a,
+        s0.conj().T @ a,
         t0,
-        a @ adjoint(t0),
+        a @ t0.conj().T,
         s1,
-        adjoint(s1) @ a,
+        s1.conj().T @ a,
         t1,
-        a @ adjoint(t1),
+        a @ t1.conj().T,
         s2,
     ]
     return [int(np.linalg.matrix_rank(x)) for x in chain]
@@ -181,13 +175,13 @@ def check_unrolled_recurrence():
     worst = 0.0
     for idx in range(INSTANCES):
         a = _conditioned_instance(8, 6, seed=4000 + idx)
-        aat = a @ adjoint(a)
+        aat = a @ a.conj().T
         s_raw = _raw_iterates(a, k=2, iterations=MAX_POWER, seed=idx)
         product = np.eye(2)
         power = s_raw[0]
         for i in range(1, MAX_POWER + 1):
             s_prev = s_raw[i - 1]
-            b_prev = np.linalg.solve(adjoint(s_prev) @ aat @ s_prev, adjoint(s_prev) @ s_prev)
+            b_prev = np.linalg.solve(s_prev.conj().T @ aat @ s_prev, s_prev.conj().T @ s_prev)
             product = product @ b_prev
             power = aat @ power
             rhs = power @ product

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowrank_als import als, bench, io, matrix, spectral, svd_convert, testmat, verify
 from lowrank_als.als import (
     AlsConfig,
     als_init,
@@ -15,7 +16,8 @@ from lowrank_als.als import (
     save_factorization,
 )
 from lowrank_als.io import save_matrix
-from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.testmat import TestMatrixSpec
 from lowrank_als.verify import projector
 
 from oracles import normal_equations_solve
@@ -48,7 +50,7 @@ class TestInit:
     def test_stabilized_start_is_orthonormal(self):
         a = gaussian_matrix(8, 6, seed=3)
         state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=1))
-        assert frobenius_norm(adjoint(state.s) @ state.s - np.eye(2)) <= 1e-12
+        assert frobenius_norm(state.s.conj().T @ state.s - np.eye(2)) <= 1e-12
 
     @pytest.mark.parametrize("j", [0, 1])
     def test_zero_matrix_rejected(self, j):
@@ -61,7 +63,7 @@ class TestHalfSteps:
         a = gaussian_matrix(6, 4, seed=2)
         state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0))
         als_update_t(state)
-        assert np.allclose(state.t, adjoint(state.s) @ a, atol=1e-12)
+        assert np.allclose(state.t, state.s.conj().T @ a, atol=1e-12)
 
     def test_s_update_spans_minimizer_columns(self):
         # The orthonormal S spans col(A T^+), and the tracked residual is the
@@ -71,8 +73,8 @@ class TestHalfSteps:
         als_update_t(state)
         t = state.t
         als_update_s(state)
-        s_min = adjoint(normal_equations_solve(adjoint(t), adjoint(a)))
-        assert frobenius_norm(adjoint(state.s) @ state.s - np.eye(2)) <= 1e-12
+        s_min = normal_equations_solve(t.conj().T, a.conj().T).conj().T
+        assert frobenius_norm(state.s.conj().T @ state.s - np.eye(2)) <= 1e-12
         assert frobenius_norm(projector(state.s) - projector(s_min)) <= 1e-12
         want = frobenius_norm(s_min @ t - a)
         assert abs(state.error_trace[-1] - want) <= 1e-12 * frobenius_norm(a)
@@ -183,7 +185,7 @@ class TestRun:
         cfg = AlsConfig(rank_k=k, iterations_j=j, seed=seed)
         fact = als_run(a, cfg)
         assert fact.s.shape[1] == k
-        assert frobenius_norm(adjoint(fact.s) @ fact.s - np.eye(k)) <= 1e-12
+        assert frobenius_norm(fact.s.conj().T @ fact.s - np.eye(k)) <= 1e-12
         sigma = small_svd(a).sigma
         assert small_svd(a - fact.s @ fact.t).sigma[0] >= sigma[k] - 1e-10 * sigma[0]
         base_fact = als_run(base, cfg)
@@ -249,6 +251,53 @@ class TestTrajectory:
         a = gaussian_matrix(8, 6, seed=37)
         config = AlsConfig(rank_k=2, iterations_j=1, seed=0, track_errors=True)
         with pytest.raises(ValueError, match="one seed"):
+            next(als_trajectories(a, config, (0, 1)))
+
+
+def _count_as_matrix(monkeypatch):
+    """Count as_matrix calls through every module of the package that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = matrix.as_matrix
+    for module in (als, bench, io, matrix, spectral, svd_convert, testmat, verify):
+        if getattr(module, "as_matrix", None) is original:
+            monkeypatch.setattr(module, "as_matrix", counted)
+    return calls
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("track_errors", [False, True])
+    def test_one_validation_per_run(self, monkeypatch, field, track_errors):
+        calls = _count_as_matrix(monkeypatch)
+        a = gaussian_matrix(9, 7, seed=40, field=field)
+        als_run(a, AlsConfig(rank_k=3, iterations_j=2, seed=1, track_errors=track_errors))
+        assert len(calls) == 1
+
+    def test_no_validation_on_bench_batch(self, monkeypatch):
+        calls = _count_as_matrix(monkeypatch)
+        spec = TestMatrixSpec(32, 64, 2, 1e-3)
+        outcomes = bench._run_matrix(spec, [(j, seed) for j in (0, 2) for seed in (0, 1)])
+        assert all(isinstance(outcome, bench.ExperimentRecord) for outcome in outcomes)
+        assert calls == []
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_still_raises(self, field, value):
+        # inf times a Gaussian entry of either sign sums to NaN in the sketch.
+        a = gaussian_matrix(8, 6, seed=41, field=field)
+        a[1, 2] = value
+        config = AlsConfig(rank_k=2, iterations_j=1, seed=0)
+        with pytest.raises(ValueError):
+            als_run(a, config)
+        with pytest.raises(ValueError):
+            als_init(a, config)
+        with pytest.raises(ValueError):
             next(als_trajectories(a, config, (0, 1)))
 
 

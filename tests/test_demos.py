@@ -26,11 +26,7 @@ PUBLIC_API = [
     "SuiteConfig",
     "SvdTriplet",
     "TestMatrixSpec",
-    "adjoint",
-    "als_init",
     "als_run",
-    "als_update_s",
-    "als_update_t",
     "approximation_error",
     "build_test_matrix",
     "factorization_to_svd",
@@ -38,7 +34,6 @@ PUBLIC_API = [
     "gaussian_matrix",
     "load_factorization",
     "load_matrix",
-    "orthonormal_basis",
     "power_method_norm",
     "real_orthogonal_matrix",
     "run_suite",
@@ -64,12 +59,19 @@ OPTIONS = [
     ("verify", "lstsq_solve_right", "rank_deficient_ok"),
 ]
 
-# Names that served only tests; the two test oracles live in tests/oracles.py.
+# Names that served only tests, the theory checks or demos; the two test
+# oracles live in tests/oracles.py, the ALS steps and orthonormal_basis are
+# imported from their modules, and the adjoint is numpy's x.conj().T.
 REMOVED = [
     "DENSE_SVD_BUDGET",
+    "adjoint",
+    "als_init",
+    "als_update_s",
+    "als_update_t",
     "dft_matrix",
     "load_csv",
     "load_svd_triplet",
+    "orthonormal_basis",
     "residual_operator",
     "run_cell",
     "save_csv",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als import matrix
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.spectral import power_method_norm
 from lowrank_als.svd_convert import factorization_to_svd
 
@@ -39,10 +40,10 @@ def test_orthonormality_and_reconstruction(field):
     s = gaussian_matrix(8, 3, seed=23, field=field)
     t = gaussian_matrix(3, 6, seed=24, field=field)
     res = factorization_to_svd(s, t)
-    assert frobenius_norm(adjoint(res.u) @ res.u - np.eye(3)) <= 1e-11
-    assert frobenius_norm(adjoint(res.v) @ res.v - np.eye(3)) <= 1e-11
+    assert frobenius_norm(res.u.conj().T @ res.u - np.eye(3)) <= 1e-11
+    assert frobenius_norm(res.v.conj().T @ res.v - np.eye(3)) <= 1e-11
     product = s @ t
-    recon = res.u @ np.diag(res.sigma) @ adjoint(res.v)
+    recon = res.u @ np.diag(res.sigma) @ res.v.conj().T
     assert frobenius_norm(recon - product) <= 1e-11 * frobenius_norm(product)
 
 
@@ -74,3 +75,14 @@ def test_phase_canonicalization():
 def test_incompatible_shapes():
     with pytest.raises(ValueError):
         factorization_to_svd(np.ones((4, 2)), np.ones((3, 5)))
+
+
+def test_product_over_dense_svd_budget(monkeypatch):
+    # The k-by-n product R T is thin; the dense budget of small_svd is for
+    # m-by-n decompositions and must not refuse it.
+    monkeypatch.setattr(matrix, "DENSE_SVD_BUDGET", 100)
+    s = gaussian_matrix(20, 2, seed=30)
+    t = gaussian_matrix(2, 60, seed=31)
+    res = factorization_to_svd(s, t)
+    direct = np.linalg.svd(s @ t, compute_uv=False)[:2]
+    assert np.allclose(res.sigma, direct, atol=1e-12 * direct[0])

@@ -8,7 +8,7 @@ import pytest
 
 from lowrank_als import testmat
 from lowrank_als.cli import PAPER_SIZES
-from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
 from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 from lowrank_als.testmat import (
     MEMORY_BUDGET,
@@ -94,7 +94,7 @@ class TestTransforms:
 
     def test_dft_unitary(self):
         f = dft_matrix(8)
-        assert frobenius_norm(adjoint(f) @ f - np.eye(8)) <= 1e-13
+        assert frobenius_norm(f.conj().T @ f - np.eye(8)) <= 1e-13
 
     def test_real_orthogonal_n1(self):
         q = real_orthogonal_matrix(1, seed=0)
@@ -207,9 +207,9 @@ class TestDftOperator:
         v = gaussian_matrix(spec.n, 3, seed=1, field="complex")
         u = gaussian_matrix(spec.m, 3, seed=2, field="complex")
         assert np.max(np.abs(op.matmat(v) - a @ v)) <= 1e-15
-        assert np.max(np.abs(op.rmatmat(u) - adjoint(a) @ u)) <= 1e-15
+        assert np.max(np.abs(op.rmatmat(u) - a.conj().T @ u)) <= 1e-15
         assert np.max(np.abs(op.matvec(v[:, 0]) - a @ v[:, 0])) <= 1e-15
-        assert np.max(np.abs(op.rmatvec(u[:, 0]) - adjoint(a) @ u[:, 0])) <= 1e-15
+        assert np.max(np.abs(op.rmatvec(u[:, 0]) - a.conj().T @ u[:, 0])) <= 1e-15
 
     def test_real_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="dft"):
@@ -235,7 +235,7 @@ class TestDftCoordinates:
         f_h = dft_matrix(r).conj().T
         for s, (w, wh_sigma) in zip(blocks, pairs):
             assert np.max(np.abs(w - f_h @ s)) <= 1e-14
-            assert np.array_equal(wh_sigma, adjoint(w) * sig)
+            assert np.array_equal(wh_sigma, w.conj().T * sig)
         v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, "complex")
         g_r = dft_matrix(spec.n)[:r]
         assert start.shape == (r, 1)
@@ -244,7 +244,7 @@ class TestDftCoordinates:
         # have one norm: the power iterations follow the same iterates.
         a = build_test_matrix(spec)
         s, (w, wh_sigma) = blocks[0], pairs[0]
-        full = (a - s @ (adjoint(s) @ a)) @ (adjoint(g_r) @ x)
+        full = (a - s @ (s.conj().T @ a)) @ (g_r.conj().T @ x)
         reduced = sig[:, None] * x - w @ (wh_sigma @ x)
         assert np.max(np.abs(full - dft_matrix(r) @ reduced)) <= 1e-14
 
@@ -253,7 +253,7 @@ class TestDftCoordinates:
         spec = TestMatrixSpec(*shape, 2, 1e-3)
         op = dft_operator(spec)
         blocks = _orthonormal_blocks(spec.m, (2, 3), seed=11)
-        want = power_method_norm(op, minus=[(s, adjoint(op.rmatmat(s))) for s in blocks])
+        want = power_method_norm(op, minus=[(s, op.rmatmat(s).conj().T) for s in blocks])
         sigma, pairs, start = dft_coordinates(spec, blocks)
         got = power_method_norm(sigma, start=start, minus=pairs)
         for g, w in zip(got, want):

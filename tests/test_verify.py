@@ -5,7 +5,7 @@ recurrence, their least-squares solves, and the orthogonal projector."""
 import numpy as np
 import pytest
 
-from lowrank_als.matrix import adjoint, frobenius_norm, gaussian_matrix
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix
 from lowrank_als.verify import (
     RankDeficientError,
     _raw_iterates,
@@ -34,9 +34,9 @@ class TestRawHalfSteps:
 
     def test_s_update_with_orthonormal_t_rows(self):
         a = gaussian_matrix(6, 4, seed=4)
-        t = adjoint(np.linalg.qr(gaussian_matrix(4, 2, seed=5))[0])
+        t = np.linalg.qr(gaussian_matrix(4, 2, seed=5))[0].conj().T
         s = lstsq_solve_right(t, a)
-        assert np.allclose(s, a @ adjoint(t), atol=1e-12)
+        assert np.allclose(s, a @ t.conj().T, atol=1e-12)
 
     def test_s_update_exact_when_representable(self):
         t = gaussian_matrix(2, 4, seed=6)
@@ -49,8 +49,8 @@ class TestRawHalfSteps:
         # S_1 = A A* S_0 B_0 with B_0 = (S_0* A A* S_0)^{-1} S_0* S_0.
         a = gaussian_matrix(6, 4, seed=3)
         s0, s1 = _raw_iterates(a, k=2, iterations=1, seed=8)
-        aat = a @ adjoint(a)
-        b0 = np.linalg.solve(adjoint(s0) @ aat @ s0, adjoint(s0) @ s0)
+        aat = a @ a.conj().T
+        b0 = np.linalg.solve(s0.conj().T @ aat @ s0, s0.conj().T @ s0)
         want = aat @ s0 @ b0
         assert frobenius_norm(s1 - want) <= 1e-10 * frobenius_norm(want)
 
@@ -59,7 +59,7 @@ class TestLstsq:
     def test_orthonormal_shortcut(self):
         q = np.linalg.qr(gaussian_matrix(6, 2, seed=4))[0]
         a = gaussian_matrix(6, 3, seed=5)
-        assert np.allclose(lstsq_solve(q, a), adjoint(q) @ a, atol=1e-13)
+        assert np.allclose(lstsq_solve(q, a), q.conj().T @ a, atol=1e-13)
 
     def test_mean_of_two(self):
         s = np.array([[1.0], [1.0]])
@@ -90,9 +90,9 @@ class TestLstsq:
 class TestLstsqRight:
     def test_orthonormal_rows(self):
         q = np.linalg.qr(gaussian_matrix(5, 2, seed=6))[0]
-        t = adjoint(q)
+        t = q.conj().T
         a = gaussian_matrix(3, 5, seed=7)
-        assert np.allclose(lstsq_solve_right(t, a), a @ adjoint(t), atol=1e-13)
+        assert np.allclose(lstsq_solve_right(t, a), a @ t.conj().T, atol=1e-13)
 
     def test_mean_of_two(self):
         t = np.array([[1.0, 1.0]])
@@ -124,7 +124,7 @@ class TestProjector:
     def test_idempotent_self_adjoint(self):
         p = projector(gaussian_matrix(6, 2, seed=9))
         assert frobenius_norm(p @ p - p) <= 1e-12
-        assert frobenius_norm(adjoint(p) - p) <= 1e-12
+        assert frobenius_norm(p.conj().T - p) <= 1e-12
 
     def test_zero_matrix(self):
         assert np.array_equal(projector(np.zeros((3, 2))), np.zeros((3, 3)))
