@@ -17,7 +17,6 @@ from .testmat import (
     MemoryBudgetError,
     TestMatrixSpec,
     build_test_matrix,
-    real_orthogonal_matrix,
     sigma_spectrum,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "load_factorization",
     "load_matrix",
     "power_method_norm",
-    "real_orthogonal_matrix",
     "run_suite",
     "save_factorization",
     "save_matrix",

@@ -15,12 +15,11 @@ are measured together: after the batch, a single
 power_method_norm(op, minus=...) call estimates all their epsilons with
 shared applies of the test matrix.  Each estimate differs from a standalone
 measurement of its cell only by rounding.
-ALS runs on the dense A, the rounding of the exact F Sigma G.  A wide DFT
-test matrix (m <= n, as in the default and paper grids) is measured in the
-DFT's coordinates (testmat.dft_coordinates): on the r-by-r residuals
-Sigma - W W^H Sigma, from the protocol's start mapped there, so the 100
-iterations run on r-by-r operators without an FFT.  A tall one is measured
-on dft_operator, F Sigma G applied by FFTs, and a real_orthogonal one on the
+ALS runs on the dense A, the rounding of the exact F Sigma G.  A DFT test
+matrix of any shape is measured in the DFT's coordinates
+(testmat.dft_coordinates): on the m-by-r residuals
+Sigma_r - W W[:r]^H Sigma, from the protocol's start mapped there, so the
+100 iterations run without an FFT.  A real_orthogonal one is measured on the
 dense A.  A SuiteConfig is the grid alone; writing records to a file is up
 to the caller (write_csv, write_json).
 """
@@ -33,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .als import AlsConfig, als_trajectories
 from .spectral import power_method_norm
-from .testmat import TestMatrixSpec, build_test_matrix, dft_coordinates, dft_operator
+from .testmat import TestMatrixSpec, build_test_matrix, dft_coordinates
 
 CSV_HEADER = "m,n,transform,k,delta,j,seed,epsilon,t_seconds"
 
@@ -71,10 +70,9 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     of seeds: a one-seed batch makes the operations of a standalone run of
     the cell.  A half-step that raises at step i fails the cells with j >= i
     of every seed.  One power_method_norm call then measures every
-    epsilon: in dft_coordinates(spec) for a wide DFT matrix, on
-    dft_operator(spec) for a tall one, with A released first since neither
-    reads it, and on A otherwise.  If the measurement raises, its exception
-    stands for every cell that reached it.
+    epsilon: in dft_coordinates(spec) for a DFT matrix, with A released first
+    since it is not read, and on A for a real_orthogonal one.  If the
+    measurement raises, its exception stands for every cell that reached it.
     """
     a = build_test_matrix(spec)
     seeds = tuple(dict.fromkeys(seed for _, seed in cells))
@@ -98,10 +96,8 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     del a  # a DFT matrix is measured without its dense build
     try:
         minus, start = [(f.s, f.t) for _, f, _ in runs], None
-        if op is None and spec.m <= spec.n:
+        if op is None:
             op, minus, start = dft_coordinates(spec, [s for s, _ in minus])
-        elif op is None:
-            op = dft_operator(spec)
         epsilons = power_method_norm(op, start=start, minus=minus)
     except Exception as exc:  # noqa: BLE001
         for index, _, _ in runs:

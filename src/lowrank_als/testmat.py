@@ -72,12 +72,9 @@ def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def real_orthogonal_matrix(n: int, seed: int) -> np.ndarray:
-    """Orthogonal matrix from the QR factorization of a seeded Gaussian."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q, _ = np.linalg.qr(gaussian_matrix(n, n, seed, "real"))
-    return q
+def orthonormal_columns(n: int, r: int, seed: int) -> np.ndarray:
+    """n-by-r orthonormal columns (r <= n): the Q of a QR of a seeded real Gaussian."""
+    return np.linalg.qr(gaussian_matrix(n, r, seed, "real"))[0]
 
 
 def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
@@ -88,9 +85,11 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
     which depends only on (p L/m + c L/n) mod L with L = lcm(m, n): it is
     entry (p L/m + c L/n) of h, h repeated twice, where h is the L-point FFT
     of sigma scaled by 1/sqrt(m n).  So A is one FFT and a strided copy of
-    [h, h].  Singular values of the result equal sigma_spectrum(spec) by
-    unitary invariance.  A working set over MEMORY_BUDGET raises
-    MemoryBudgetError before anything is built.
+    [h, h].  For real_orthogonal, F_r and G_r^T are drawn as orthonormal
+    columns from seeds seed and seed + 1; a seed gives the same matrix within
+    one version of the package, not across versions.  Singular values of the
+    result equal sigma_spectrum(spec) by unitary invariance.  A working set
+    over MEMORY_BUDGET raises MemoryBudgetError before anything is built.
     """
     m, n = spec.m, spec.n
     r = min(m, n)
@@ -100,10 +99,11 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
         # L-entry temporaries of h are freed before the result exists.
         required = r * 8 + (2 * period + m * n) * 16
     else:
-        # A QR of a p-by-p Gaussian peaks at five p-by-p arrays (the Gaussian,
-        # its copy, Q and two LAPACK work copies); F's whole Q outlives its
-        # [:, :r] view, and the product holds F, G, Sigma G and the result.
-        required = max(5 * m * m, m * m + 5 * n * n, m * m + n * n + r * n + m * n) * 8
+        # F_r, Sigma G_r and the result, plus four max(m, n)-by-r arrays.
+        # While a QR runs, its Gaussian stands in for F_r or Sigma G_r and
+        # the four are its copy, Q and LAPACK's two work copies; in the
+        # product they cover G_r.
+        required = (m * r + r * n + m * n + 4 * max(m, n) * r) * 8
     if required > MEMORY_BUDGET:
         raise MemoryBudgetError(required, MEMORY_BUDGET)
     sig = sigma_spectrum(spec)
@@ -112,81 +112,48 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
         # Row p starts at p L/m < L and steps by L/n, so it ends before 2 L.
         strides = ((period // m) * hh.itemsize, (period // n) * hh.itemsize)
         return np.lib.stride_tricks.as_strided(hh, (m, n), strides, writeable=False).copy()
-    f_cols = real_orthogonal_matrix(m, spec.seed)[:, :r]
-    g_rows = real_orthogonal_matrix(n, spec.seed + 1)[:r, :]
-    return f_cols @ (sig[:, None] * g_rows)
-
-
-def dft_operator(spec: TestMatrixSpec) -> LinearOperator:
-    """The DFT test matrix F Sigma G as an operator applied by FFTs.
-
-    It is the exact product, never materialized: A V is the n-point FFT down
-    the columns of V, scaled by sigma on its first min(m, n) rows and zero
-    padded to an m-point FFT; A^H U runs the inverse transforms the same way.
-    An apply costs O((m log m + n log n) c) for c columns, against O(m n c)
-    on the dense build, which is the rounding of this operator.  Residuals of
-    a wide spec (m <= n) are measured smaller, in dft_coordinates; this
-    operator serves the tall ones.
-    """
-    if spec.transform != "dft":
-        raise ValueError(f"dft_operator needs the dft transform, got {spec.transform!r}")
-    m, n = spec.m, spec.n
-    r = min(m, n)
-    sig = sigma_spectrum(spec)[:, None]
-
-    def matmat(v):
-        return np.fft.fft(sig * np.fft.fft(v, axis=0, norm="ortho")[:r], n=m, axis=0, norm="ortho")
-
-    def rmatmat(u):
-        return np.fft.ifft(sig * np.fft.ifft(u, axis=0, norm="ortho")[:r], n=n, axis=0, norm="ortho")
-
-    return LinearOperator(
-        (m, n),
-        matvec=lambda v: matmat(v.reshape(n, 1)),
-        rmatvec=lambda u: rmatmat(u.reshape(m, 1)),
-        matmat=matmat,
-        rmatmat=rmatmat,
-        dtype=np.complex128,
-    )
+    f_r = orthonormal_columns(m, r, spec.seed)
+    g_r = orthonormal_columns(n, r, spec.seed + 1).T
+    return f_r @ (sig[:, None] * g_r)
 
 
 def dft_coordinates(spec: TestMatrixSpec, s_blocks):
-    """The residuals A - S_i S_i^H A of a wide DFT spec in the DFT's coordinates.
+    """The residuals A - S_i S_i^H A of a DFT spec in the DFT's coordinates.
 
-    For m <= n, A = F Sigma G_r with F the unitary m-point DFT and G_r the
-    first r = m rows of the n-point one.  With W_i = F^H S_i,
-    A - S_i S_i^H A = F (Sigma - W_i W_i^H Sigma) G_r, whose norm is that of
-    the r-by-r middle factor.  Returns (sigma, pairs, start) for
-    power_method_norm(sigma, start=start, minus=pairs): the diagonal Sigma as
-    an r-by-r operator, the pairs (W_i, W_i^H Sigma), and G_r v_0 for the
-    default start v_0 of a measurement on dft_operator(spec).  Each iterate
-    of that measurement is G_r^H times one of this, so the estimates agree up
-    to rounding.  The pairs take T_i = S_i^H A, the ALS T-update.
-
-    A tall spec (m > n) raises ValueError: its F_r is m-by-r, and dropping
-    the part of S_i outside range(F_r) would cost about eps/delta relative.
-    No benchmark grid is tall, so tall specs stay on dft_operator rather than
-    an (r + k)-by-r completion.
+    A = F Sigma_r G_r with F the unitary m-point DFT, Sigma_r the m-by-r
+    diagonal [Sigma; 0] (r = min(m, n)) and G_r the first r rows of the
+    n-point DFT, which are orthonormal.  With W_i = F^H S_i,
+    A - S_i S_i^H A = F (Sigma_r - W_i W_i[:r]^H Sigma) G_r, whose norm is
+    that of the m-by-r middle factor.  Returns (sigma, pairs, start) for
+    power_method_norm(sigma, start=start, minus=pairs): Sigma_r as an m-by-r
+    operator, the pairs (W_i, W_i[:r]^H Sigma), and G_r v_0 for the default
+    start v_0 of a measurement on A.  Each iterate of that measurement is
+    G_r^H times one of this, so the estimates agree up to rounding; nothing
+    is dropped, so this holds for tall specs too.  The pairs take
+    T_i = S_i^H A, the ALS T-update.
     """
-    if spec.transform != "dft" or spec.m > spec.n:
-        raise ValueError(f"dft_coordinates needs a dft spec with m <= n, got {spec}")
-    r = spec.m
+    if spec.transform != "dft":
+        raise ValueError(f"dft_coordinates needs a dft spec, got {spec}")
+    m, r = spec.m, min(spec.m, spec.n)
     sig = sigma_spectrum(spec)
 
-    def scale(v):
-        return sig[:, None] * v
+    def forward(v):
+        return np.concatenate([sig[:, None] * v, np.zeros((m - r, v.shape[1]))])
+
+    def adjoint(u):
+        return sig[:, None] * u[:r]
 
     sigma = LinearOperator(
-        (r, r),
-        matvec=lambda v: scale(v.reshape(r, 1)),
-        rmatvec=lambda v: scale(v.reshape(r, 1)),
-        matmat=scale,
-        rmatmat=scale,
+        (m, r),
+        matvec=lambda v: forward(v.reshape(r, 1)),
+        rmatvec=lambda u: adjoint(u.reshape(m, 1)),
+        matmat=forward,
+        rmatmat=adjoint,
         dtype=np.float64,
     )
     pairs = []
     for s in s_blocks:
         w = np.fft.ifft(s, axis=0, norm="ortho")
-        pairs.append((w, w.conj().T * sig))
+        pairs.append((w, w[:r].conj().T * sig))
     v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, "complex")
     return sigma, pairs, np.fft.fft(v0, axis=0, norm="ortho")[:r]

@@ -18,7 +18,7 @@ import scipy.linalg
 from .als import AlsConfig, als_init, als_update_s, als_update_t
 from .matrix import frobenius_norm, gaussian_matrix, orthonormal_basis, small_svd
 from .spectral import power_method_norm
-from .testmat import real_orthogonal_matrix
+from .testmat import orthonormal_columns
 
 
 class RankDeficientError(ValueError):
@@ -148,9 +148,9 @@ def _conditioned_instance(m: int, n: int, seed: int) -> np.ndarray:
     r = min(m, n)
     d = np.sort(rng.uniform(1.0 / CONDITION, 1.0, size=r))[::-1]
     d[0] = 1.0
-    u = real_orthogonal_matrix(m, seed + 7)
-    v = real_orthogonal_matrix(n, seed + 13)
-    return u[:, :r] @ (d[:, None] * v[:r, :])
+    u = orthonormal_columns(m, r, seed + 7)
+    v = orthonormal_columns(n, r, seed + 13)
+    return u @ (d[:, None] * v.T)
 
 
 def _raw_iterates(a: np.ndarray, k: int, iterations: int, seed: int) -> list[np.ndarray]:
@@ -234,9 +234,9 @@ def check_power_method():
             # Constructed gap: sigma_2 / sigma_1 <= 0.9 guaranteed.
             r = min(p, q)
             d = np.concatenate([[1.0], rng.uniform(0.0, 0.9, size=r - 1)])
-            u = real_orthogonal_matrix(p, 7100 + idx)
-            v = real_orthogonal_matrix(q, 7200 + idx)
-            a = u[:, :r] @ (np.sort(d)[::-1][:, None] * v[:r, :])
+            u = orthonormal_columns(p, r, 7100 + idx)
+            v = orthonormal_columns(q, r, 7200 + idx)
+            a = u @ (np.sort(d)[::-1][:, None] * v.T)
         else:
             a = gaussian_matrix(p, q, seed=7300 + idx)
         sig = small_svd(a).sigma

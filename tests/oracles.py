@@ -4,7 +4,7 @@ Nothing here calls the code paths under test: eigenvalues come from a cyclic
 Jacobi sweep, least-squares solutions from explicitly inverted normal
 equations, the residual A - S T from one matrix-vector product per term, the
 discrete Fourier transform from its entry formula, and the exact residual
-norm of a wide DFT test matrix from a dense SVD in the DFT's coordinates.
+norm of a DFT test matrix from a dense SVD in the DFT's coordinates.
 """
 
 import numpy as np
@@ -95,13 +95,24 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)
 
 
-def dft_residual_norm(sigma: np.ndarray, s: np.ndarray) -> float:
-    """sigma_max(Sigma - W W^H Sigma) with W = F^H S, by a dense SVD of the r-by-r matrix.
+# A DFT test matrix is measured on the exact residual in the DFT's
+# coordinates; the dense A is the rounding of F Sigma G,
+# ||A - F Sigma G||_2 <= about log2(m n) * eps * ||A|| (19 at 512x1024), and
+# forming A - S T, W and the SVDs add a few eps * ||A|| more.  ||A|| = 1 for
+# every test matrix, so this bounds the gap between the two in absolute terms.
+ROUNDING_ALLOWANCE = 32 * np.finfo(float).eps
 
-    For a wide DFT test matrix A = F Sigma G_r (F the unitary r-point DFT,
-    G_r with orthonormal rows), this is ||A - S S^H A||_2 exactly, up to the
-    rounding of the SVD.  W comes from dft_matrix, not from an FFT.
+
+def dft_residual_norm(sigma: np.ndarray, s: np.ndarray) -> float:
+    """sigma_max(Sigma_r - W W[:r]^H Sigma) with W = F^H S, by a dense SVD of the m-by-r matrix.
+
+    For a DFT test matrix A = F Sigma_r G_r (F the unitary m-point DFT,
+    Sigma_r the m-by-r diagonal [Sigma; 0], G_r with orthonormal rows), this
+    is ||A - S S^H A||_2 exactly, up to the rounding of the SVD.  For a wide
+    or square matrix (m = r) it is sigma_max(Sigma - W W^H Sigma).  W comes
+    from dft_matrix, not from an FFT.
     """
-    w = dft_matrix(len(sigma)).conj().T @ s
-    residual = np.diag(sigma) - w @ (w.conj().T * sigma)
+    m, r = s.shape[0], len(sigma)
+    w = dft_matrix(m).conj().T @ s
+    residual = np.eye(m, r) * sigma - w @ (w[:r].conj().T * sigma)
     return float(np.linalg.svd(residual, compute_uv=False)[0])

@@ -19,7 +19,7 @@ from lowrank_als.matrix import small_svd
 from lowrank_als.spectral import power_method_norm
 from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
 
-from oracles import dft_residual_norm
+from oracles import ROUNDING_ALLOWANCE, dft_residual_norm
 
 SMALL_SPEC = TestMatrixSpec(32, 64, 2, 1e-3)
 
@@ -180,12 +180,6 @@ OPERATOR_SUITE = SuiteConfig(
     seeds=(0,),
 )
 
-# The bench measures a wide DFT matrix on the exact Sigma - W W^H Sigma in the
-# DFT's coordinates; the dense A is the rounding of F Sigma G,
-# ||A - F Sigma G||_2 <= about log2(m n) * eps * ||A|| (19 at 512x1024), and
-# forming A - S T, W and the SVDs add a few eps * ||A|| more.  ||A|| = 1 here.
-ROUNDING_ALLOWANCE = 32 * np.finfo(float).eps
-
 
 @pytest.fixture(scope="module")
 def operator_runs():
@@ -222,6 +216,30 @@ def exact_cells(operator_runs, operator_cells):
     return [(rec, truth, x) for (rec, _, truth), x in zip(operator_cells, exact)]
 
 
+TALL_SUITE = SuiteConfig(
+    sizes=((96, 48),),
+    rank_deltas=((2, 1e-3), (10, 1e-3), (2, 1e-11), (10, 1e-11)),
+    iteration_counts=(0, 2, 10),
+    seeds=(0, 1),
+)
+
+
+@pytest.fixture(scope="module")
+def tall_exact_cells():
+    """(record, dense-SVD truth, exact reduced residual norm) per cell of TALL_SUITE."""
+    records, summary = run_suite(TALL_SUITE)
+    assert not summary["failures"]
+    cells = []
+    for k, delta in TALL_SUITE.rank_deltas:
+        spec = TestMatrixSpec(96, 48, k, delta)
+        a = build_test_matrix(spec)
+        for rec in (r for r in records if (r.k, r.delta) == (k, delta)):
+            f = als_run(a, AlsConfig(rank_k=k, iterations_j=rec.j, seed=rec.seed))
+            truth = small_svd(a - f.s @ (f.s.conj().T @ a)).sigma[0]
+            cells.append((rec, truth, dft_residual_norm(sigma_spectrum(spec), f.s)))
+    return cells
+
+
 class TestOperatorMeasurement:
     def test_matches_dense_measurement(self, operator_cells):
         for rec, dense, _ in operator_cells:
@@ -240,7 +258,7 @@ class TestOperatorMeasurement:
 
 
 class TestExactYardstick:
-    """sigma_max(Sigma - W W^H Sigma), the residual's exact norm in the DFT's coordinates."""
+    """sigma_max(Sigma_r - W W[:r]^H Sigma), the residual's exact norm in the DFT's coordinates."""
 
     def test_matches_dense_svd_truth(self, exact_cells):
         for _, truth, exact in exact_cells:
@@ -257,31 +275,43 @@ class TestExactYardstick:
         for rec, _, exact in exact_cells:
             assert rec.epsilon <= exact + ROUNDING_ALLOWANCE
 
+    def test_tall_matches_dense_svd_truth(self, tall_exact_cells):
+        # sigma_max([Sigma; 0] - W W[:r]^H Sigma), the m-by-r form for m > n.
+        for _, truth, exact in tall_exact_cells:
+            assert abs(exact - truth) <= ROUNDING_ALLOWANCE
+
+    def test_tall_near_optimal_from_two_iterations(self, tall_exact_cells):
+        assert sum(rec.j >= 2 for rec, _, _ in tall_exact_cells) == 16
+        for rec, _, exact in tall_exact_cells:
+            if rec.j >= 2:
+                assert exact / rec.delta <= 1.05
+
+    def test_tall_estimate_at_most_exact(self, tall_exact_cells):
+        for rec, _, exact in tall_exact_cells:
+            assert rec.epsilon <= exact + ROUNDING_ALLOWANCE
+
 
 class TestMeasurementPath:
-    """A wide or square DFT matrix is measured in the DFT's coordinates, a tall one on dft_operator."""
+    """A DFT matrix of any shape is measured in the DFT's coordinates."""
 
-    @pytest.mark.parametrize(
-        "size, path", [((96, 96), "dft_coordinates"), ((96, 48), "dft_operator")], ids=["square", "tall"]
-    )
-    def test_matches_dense_measurement(self, monkeypatch, size, path):
+    @pytest.mark.parametrize("size", [(96, 96), (96, 48)], ids=["square", "tall"])
+    def test_matches_dense_measurement(self, monkeypatch, size):
         import lowrank_als.bench as bench
 
-        calls = {"dft_coordinates": 0, "dft_operator": 0}
-        for name in calls:
-            real = getattr(bench, name)
+        calls = []
+        real = bench.dft_coordinates
 
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
 
-            monkeypatch.setattr(bench, name, counted)
+        monkeypatch.setattr(bench, "dft_coordinates", counted)
         config = SuiteConfig(
             sizes=(size,), rank_deltas=((2, 1e-3), (2, 1e-11)), iteration_counts=(0, 2), seeds=(0, 1)
         )
         records, summary = run_suite(config)
         assert not summary["failures"] and len(records) == 8
-        assert calls == {"dft_coordinates": 0, "dft_operator": 0, path: 2}
+        assert [(spec.m, spec.n) for spec in calls] == [size, size]
         for k, delta in config.rank_deltas:
             recs = [r for r in records if r.delta == delta]
             a = build_test_matrix(TestMatrixSpec(*size, k, delta))

@@ -35,7 +35,6 @@ PUBLIC_API = [
     "load_factorization",
     "load_matrix",
     "power_method_norm",
-    "real_orthogonal_matrix",
     "run_suite",
     "save_factorization",
     "save_matrix",
@@ -61,7 +60,8 @@ OPTIONS = [
 
 # Names that served only tests, the theory checks or demos; the two test
 # oracles live in tests/oracles.py, the ALS steps and orthonormal_basis are
-# imported from their modules, and the adjoint is numpy's x.conj().T.
+# imported from their modules, the adjoint is numpy's x.conj().T, and the
+# square real_orthogonal_matrix became the thin testmat.orthonormal_columns.
 REMOVED = [
     "DENSE_SVD_BUDGET",
     "adjoint",
@@ -72,6 +72,7 @@ REMOVED = [
     "load_csv",
     "load_svd_triplet",
     "orthonormal_basis",
+    "real_orthogonal_matrix",
     "residual_operator",
     "run_cell",
     "save_csv",
