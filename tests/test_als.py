@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from lowrank_als.als import (
     save_factorization,
 )
 from lowrank_als.io import save_matrix
-from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix, orthonormal_basis, small_svd
 from lowrank_als.testmat import TestMatrixSpec
 from lowrank_als.verify import projector
 
@@ -321,6 +323,117 @@ class TestApproximationError:
         fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=25))
         with pytest.raises(ValueError):
             approximation_error(a, fact, "nuclear")
+
+
+# Shapes whose residuals take several row blocks of BLOCK_BYTES, the last one
+# ragged: 4096 + 904 rows (real), 2048 + 2048 + 904 rows (complex), and rows
+# too long for a block, one row each.
+BLOCKED_INPUTS = pytest.mark.parametrize(
+    "shape, field, blocks",
+    [((5000, 8), "real", 2), ((5000, 8), "complex", 3), ((3, 40000), "real", 3)],
+    ids=["real", "complex", "one_row_blocks"],
+)
+
+
+def _count_norms(monkeypatch):
+    """Count frobenius_norm calls made by the als module."""
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return frobenius_norm(x)
+
+    monkeypatch.setattr(als, "frobenius_norm", counted)
+    return calls
+
+
+def _tracked_half_steps(a, k, j):
+    """Each tracked residual next to its dense oracle ||left @ right - a||_F,
+    and the final state."""
+    state = als_init(a, AlsConfig(rank_k=k, iterations_j=j, seed=50, track_errors=True))
+    oracles = []
+    for i in range(j + 1):
+        if i:
+            q = orthonormal_basis(state.t.conj().T)
+            als_update_s(state)
+            oracles.append(frobenius_norm((a @ q) @ q.conj().T - a))
+        als_update_t(state)
+        oracles.append(frobenius_norm(state.s @ state.t - a))
+    return state.error_trace, oracles, state
+
+
+class TestBlockedResidual:
+    @BLOCKED_INPUTS
+    def test_blocks_match_dense_oracle(self, monkeypatch, shape, field, blocks):
+        a = gaussian_matrix(*shape, seed=51, field=field)
+        left = gaussian_matrix(shape[0], 2, seed=52, field=field)
+        right = gaussian_matrix(2, shape[1], seed=53, field=field)
+        calls = _count_norms(monkeypatch)
+        got = als._residual_norm(a, left, right)
+        assert len(calls) == blocks + 1 and calls[-1] == (blocks,)
+        assert abs(got - frobenius_norm(left @ right - a)) <= 1e-12 * frobenius_norm(a)
+
+    @BLOCKED_INPUTS
+    def test_tracked_trace_matches_dense_oracle(self, shape, field, blocks):
+        a = gaussian_matrix(*shape, seed=54, field=field)
+        trace, oracles, _ = _tracked_half_steps(a, 2, 2)
+        assert len(trace) == 5
+        assert np.allclose(trace, oracles, rtol=0, atol=1e-12 * frobenius_norm(a))
+
+    def test_tracked_trace_rank_below_k(self):
+        # rank(A) = 2 < k = 4: S has two columns, and the residual is rounding.
+        a = gaussian_matrix(5000, 2, seed=55) @ gaussian_matrix(2, 8, seed=56)
+        trace, oracles, state = _tracked_half_steps(a, 4, 2)
+        assert state.s.shape[1] == 2
+        assert np.allclose(trace, oracles, rtol=0, atol=1e-12 * frobenius_norm(a))
+
+    @BLOCKED_INPUTS
+    def test_approximation_error_matches_dense_oracle(self, shape, field, blocks):
+        a = gaussian_matrix(*shape, seed=57, field=field)
+        fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=58))
+        want = frobenius_norm(fact.s @ fact.t - a)
+        assert abs(approximation_error(a, fact, "frobenius") - want) <= 1e-12 * frobenius_norm(a)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("exponent", [300, -300])
+    def test_tracked_trace_scale_safe(self, field, exponent):
+        # 600x80: 409 + 191 rows (real), 204 + 204 + 192 (complex).
+        base = gaussian_matrix(600, 80, seed=59, field=field)
+        c = 10.0**exponent
+        cfg = AlsConfig(rank_k=3, iterations_j=2, seed=60, track_errors=True)
+        trace = np.array(als_run(c * base, cfg).frobenius_error_trace)
+        want = np.array(als_run(base, cfg).frobenius_error_trace)
+        assert np.all(np.isfinite(trace)) and np.all(trace > 0)
+        assert np.all(np.abs(trace / c - want) <= 1e-10 * want)
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrackingMemory:
+    # A of 4 MiB: one 256 KiB block is a.nbytes / 16, and a single m-by-n
+    # temporary is a.nbytes.  as_matrix's bool isfinite array is a.nbytes / 8.
+    A = gaussian_matrix(1024, 512, seed=61)
+    LIMIT = A.nbytes / 4
+
+    def test_tracked_run_peaks_as_untracked(self):
+        untracked = _traced_peak(lambda: als_run(self.A, AlsConfig(rank_k=3, iterations_j=2, seed=62)))
+        tracked = _traced_peak(
+            lambda: als_run(self.A, AlsConfig(rank_k=3, iterations_j=2, seed=62, track_errors=True))
+        )
+        assert tracked - untracked <= self.LIMIT
+
+    def test_frobenius_error_peak(self):
+        fact = als_run(self.A, AlsConfig(rank_k=3, iterations_j=2, seed=63))
+        peak = _traced_peak(lambda: approximation_error(self.A, fact, "frobenius"))
+        assert peak <= self.LIMIT
 
 
 class TestSerialization:
