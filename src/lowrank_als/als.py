@@ -10,9 +10,11 @@ through its column space.  The iteration therefore keeps S orthonormal: each
 T-update is T = S* A, and each S-update orthonormalizes A Q, where the columns
 of Q are an orthonormal basis of col(T*).  A T^+ = A Q R^{-*} spans the same
 columns, so this is the least-squares S-update up to a change of basis.  The
-products A V (the sketch and A Q) are matrix.times.  The textbook iterates
-without re-orthonormalization live in verify.py, as the reference for the
-unrolled recurrence.
+products A V (the sketch and A Q) are matrix.times.  Every basis keeps all
+rank_k columns of its QR, also when rank(A) < rank_k; orthonormal_basis
+says why that cannot raise the error.  The textbook iterates without
+re-orthonormalization live in verify.py, as the reference for the unrolled
+recurrence.
 
 A is validated once, where it enters the package: als_run passes it through
 as_matrix, while als_init and als_trajectories take a validated array (as
@@ -21,14 +23,14 @@ as do both half-steps.  A NaN or inf in A still fails loudly: it reaches the
 sketch A Omega, whose QR raises ValueError.
 
 Several random starts of one matrix run as one batch (als_trajectories): the
-state holds the seeds' blocks side by side, so each half-step makes one
-product with A for all of them, and each seed's block is orthonormalized on
-its own.  A product of A with few columns runs far below BLAS speed: at
-2048x4096 and k = 2, on one BLAS thread, five seeds' S* A take about 99 ms as
-five products and 23 ms as one, and their A Q 133 ms and 38 ms.  als_run is
-the one-seed batch of config.seed; with several seeds each block differs
-from its standalone run only by rounding, because a wider product sums in
-another order.
+state holds the seeds' blocks of rank_k columns side by side, so each
+half-step makes one product with A for all of them, and each seed's block is
+orthonormalized on its own.  A product of A with few columns runs far below
+BLAS speed: at 2048x4096 and k = 2, on one BLAS thread, five seeds' S* A
+take about 99 ms as five products and 23 ms as one, and their A Q 133 ms and
+38 ms.  als_run is the one-seed batch of config.seed; with several seeds
+each block differs from its standalone run only by rounding, because a
+wider product sums in another order.
 
 Error tracking (track_errors, one seed only) records ||S T - A||_F after
 every half-step.  Each residual costs one more pass over A, and its working
@@ -41,7 +43,6 @@ subtraction and norm.  The untracked iteration does not change.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -82,43 +83,31 @@ class AlsState:
     """Iterate of the ALS loop over the validated matrix ``a``, for one or
     more random starts side by side.
 
-    ``s`` holds one block of columns per seed, ``widths[b]`` columns for
-    seed b, and ``t`` the matching blocks of rows.  Each block of
-    ``s`` has orthonormal columns (at most rank_k of them: fewer when
-    rank(A) < rank_k); als_update_t relies on this to compute T = S* A.  The
-    error trace is kept for a one-seed state only.
+    ``s`` holds one block of rank_k columns per seed, seed b in columns
+    b*k:(b+1)*k, and ``t`` the matching blocks of rows.  Each block of ``s``
+    has rank_k orthonormal columns, also when rank(A) < rank_k;
+    als_update_t relies on this to compute T = S* A.  The error trace is
+    kept for a one-seed state only.
     """
 
     a: np.ndarray
     config: AlsConfig
     s: np.ndarray
-    widths: tuple[int, ...]
     t: np.ndarray | None = None
     error_trace: list[float] = field(default_factory=list)
 
 
-def _slices(widths):
-    """The slice of each block, for blocks of the given widths side by side."""
-    ends = itertools.accumulate(widths)
-    return [slice(end - width, end) for width, end in zip(widths, ends)]
+def _bases_side_by_side(x, k):
+    """Orthonormal bases of the blocks of ``k`` columns of ``x``, side by side.
 
-
-def _bases_side_by_side(blocks, widths):
-    """Orthonormal bases of ``blocks``, of ``widths`` columns each, side by
-    side, and the bases' widths.
-
-    Each basis is copied into the result as soon as it exists, so a batch
-    holds one block's temporaries at a time.
+    Each basis is written into one F-ordered array, the layout the products
+    with A take, as soon as it exists, so a batch holds one block's
+    temporaries at a time.
     """
-    out, ranks = None, []
-    for block in blocks:
-        basis = orthonormal_basis(block)
-        if out is None:
-            out = np.empty((basis.shape[0], sum(widths)), basis.dtype, order="F")
-        start = sum(ranks)
-        out[:, start : start + basis.shape[1]] = basis
-        ranks.append(basis.shape[1])
-    return out[:, : sum(ranks)], tuple(ranks)
+    out = np.empty(x.shape, x.dtype, order="F")
+    for start in range(0, x.shape[1], k):
+        out[:, start : start + k] = orthonormal_basis(x[:, start : start + k])
+    return out
 
 
 def _residual_norm(a, left, right) -> float:
@@ -165,8 +154,8 @@ def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
     (not passed through A) would make the zero-iteration baseline
     approximation useless, with error near ||A||; sketching through A gives the
     familiar random-projection baseline that the iteration then refines.
-    Raises ValueError when the sketch has numerical rank 0 (A is zero to
-    working precision).
+    Each seed's block of S_0 has rank_k orthonormal columns, with no rank
+    cutoff.  Raises ValueError when the sketch is exactly zero.
     """
     _validate(config, a.shape)
     seeds = (config.seed,) if seeds is None else tuple(seeds)
@@ -176,11 +165,9 @@ def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
         raise ValueError("error tracking needs a state of one seed")
     fld = "complex" if np.iscomplexobj(a) else "real"
     sketch = times(a, np.hstack([gaussian_matrix(a.shape[1], config.rank_k, seed, fld) for seed in seeds]))
-    widths = (config.rank_k,) * len(seeds)
-    s0, widths = _bases_side_by_side((sketch[:, cols] for cols in _slices(widths)), widths)
-    if min(widths) == 0:
-        raise ValueError("the sketch A @ Omega has numerical rank 0; A is zero to working precision")
-    return AlsState(a=a, config=config, s=s0, widths=widths)
+    if not sketch.any():
+        raise ValueError("the sketch A @ Omega is zero (rank 0); A is zero to working precision")
+    return AlsState(a=a, config=config, s=_bases_side_by_side(sketch, config.rank_k))
 
 
 def als_update_t(state: AlsState) -> AlsState:
@@ -207,12 +194,12 @@ def als_update_s(state: AlsState) -> AlsState:
     minimizer, ||A Q Q* - A||_F: one more pass over A, by row blocks of at
     most BLOCK_BYTES.
     """
-    q, widths = _bases_side_by_side((state.t[rows].conj().T for rows in _slices(state.widths)), state.widths)
+    q = _bases_side_by_side(state.t.conj().T, state.config.rank_k)
     aq = times(state.a, q)
     if state.config.track_errors:
         state.error_trace.append(_residual_norm(state.a, aq, q.conj().T))
     del q  # the batch's Q is not needed by the per-seed bases below
-    state.s, state.widths = _bases_side_by_side((aq[:, cols] for cols in _slices(widths)), widths)
+    state.s = _bases_side_by_side(aq, state.config.rank_k)
     return state
 
 
@@ -229,7 +216,8 @@ def als_trajectories(a, config: AlsConfig, seeds):
     seed's standalone run only by rounding.  Each Factorization's
     iterations_j is i and its error trace, when tracked, is the trace so far.
     """
-    seeds = tuple(seeds)
+    seeds, k = tuple(seeds), config.rank_k
+    blocks = [slice(b * k, (b + 1) * k) for b in range(len(seeds))]
     state = als_init(a, config, seeds=seeds)
     for i in range(config.iterations_j + 1):
         if i:
@@ -240,7 +228,7 @@ def als_trajectories(a, config: AlsConfig, seeds):
             Factorization(
                 s=state.s[:, cols], t=state.t[cols], iterations_j=i, seed=seed, frobenius_error_trace=trace
             )
-            for seed, cols in zip(seeds, _slices(state.widths))
+            for seed, cols in zip(seeds, blocks)
         ]
 
 

@@ -1,13 +1,14 @@
 """Dense matrix kernels: validation, the product A V, norm, sampling, small
-SVD, column bases.
+SVD, orthonormal bases.
 
 as_matrix validates a matrix once, where it enters the package: als_run,
 approximation_error, factorization_to_svd, small_svd and the io readers and
 writers call it.  times and orthonormal_basis take arrays as given, as the
-ALS iteration hands them over.  All routines operate on plain numpy arrays
-(row-major, float64 or complex128) and add only what numpy/scipy lack;
-callers use numpy/scipy directly for the rest (QR, rank, least squares, the
-adjoint ``x.conj().T`` and the product U* A).
+ALS iteration hands them over; orthonormal_basis estimates no rank.  All
+routines operate on plain numpy arrays (row-major, float64 or complex128)
+and add only what numpy/scipy lack; callers use numpy/scipy directly for
+the rest (QR, rank, least squares, the adjoint ``x.conj().T`` and the
+product U* A).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import scipy.linalg
 
 # Largest entry count accepted by small_svd (dense decompositions only).
 DENSE_SVD_BUDGET = 4096**2
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -98,14 +97,15 @@ def small_svd(a) -> SvdTriplet:
 
 
 def orthonormal_basis(a) -> np.ndarray:
-    """Orthonormal basis of col(a) from rank-revealing (column-pivoted) QR.
+    """The Q of an economic column-pivoted QR of ``a``, with no rank cutoff:
+    min(m, c) orthonormal columns for an m-by-c ``a``, whose span contains col(a).
 
     ``a`` is a 2-d float64/complex128 array with positive dimensions; scipy
-    raises ValueError for non-finite entries.  Returns an m-by-r matrix where
-    r is the estimated rank; the zero matrix yields an m-by-0 result.
+    raises ValueError for non-finite entries.  Householder QR gives
+    orthonormal columns for any input, so a column of ``a`` that carries only
+    rounding still yields a basis column, orthogonal to the rest.  In ALS
+    such a column cannot hurt: it can only enlarge col(S), and T = S* A is
+    optimal for any orthonormal S, so ||A - S S* A|| cannot rise.  Dropping
+    it could: a column lost once stays lost for the whole run.
     """
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    # Diagonal entries of r below max(m, n) * eps * max|r_ii| count as zero.
-    diag = np.abs(np.diagonal(r))
-    rank = int(np.count_nonzero(diag > max(a.shape) * _EPS * diag.max()))
-    return q[:, :rank]
+    return scipy.linalg.qr(a, mode="economic", pivoting=True)[0]

@@ -48,13 +48,14 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     annihilates an iterate.
 
     With ``minus=((s1, t1), (s2, t2), ...)`` it returns a list: the estimate
-    of ||op - s_i t_i|| for each pair, in order.  All pairs share one block
-    power iteration whose column i runs the steps above on op - s_i t_i from
-    the same start vector, so each apply makes one pass over ``op`` for every
-    pair.  Entry i equals the estimate of a standalone call on the operator
-    op - s_i t_i in exact arithmetic and differs from it only by rounding,
-    because a matrix-matrix product sums in another order than a
-    matrix-vector one.
+    of ||op - s_i t_i|| for each pair, in order.  Every s_i is m-by-k and
+    every t_i k-by-n, with one k for all pairs (``ValueError`` otherwise).
+    All pairs share one block power iteration whose column i runs the steps
+    above on op - s_i t_i from the same start vector, so each apply makes
+    one pass over ``op`` for every pair.  Entry i equals the estimate of a
+    standalone call on the operator op - s_i t_i in exact arithmetic and
+    differs from it only by rounding, because a matrix-matrix product sums
+    in another order than a matrix-vector one.
     A dense ``op`` is applied as matrix.times(A, V) and (U* A)*, never as a
     conjugated copy.
     """
@@ -64,7 +65,8 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     m, n = op.shape
     pairs = [(np.asarray(s), np.asarray(t)) for s, t in minus]
     for s, t in pairs:
-        if s.ndim != 2 or t.ndim != 2 or s.shape[0] != m or t.shape != (s.shape[1], n):
+        # Each pair is m-by-k and k-by-n, with the first pair's k.
+        if s.ndim != 2 or s.shape != (m, pairs[0][0].shape[1]) or t.shape != (s.shape[1], n):
             raise ValueError(f"pair shapes {s.shape} and {t.shape} do not fit a {m}x{n} operator")
     if isinstance(op, MatrixLinearOperator):
         # An array and aslinearoperator(array) take this same path.  Both
@@ -82,16 +84,13 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
 
     dtype = np.result_type(op.dtype, *(x.dtype for pair in pairs for x in pair))
     if pairs:
-        # The pairs stacked for one batched matmul per apply, zero-padded to
-        # the widest k: a narrower pair (rank-deficient ALS output) subtracts
-        # exact zeros.
+        # The pairs stacked for one batched matmul per apply, C-ordered as
+        # np.array makes them whatever the pairs' layout: np.stack would keep
+        # the F layout of ALS blocks and send the matmul down another path,
+        # which moves the estimates by rounding.
         c = len(pairs)
-        kmax = max(s.shape[1] for s, _ in pairs)
-        s_stack = np.zeros((c, m, kmax), dtype)
-        t_stack = np.zeros((c, kmax, n), dtype)
-        for i, (s, t) in enumerate(pairs):
-            s_stack[i, :, : s.shape[1]] = s
-            t_stack[i, : t.shape[0]] = t
+        s_stack = np.array([s for s, _ in pairs], dtype)
+        t_stack = np.array([t for _, t in pairs], dtype)
 
         def apply(v):
             return forward(v) - (s_stack @ (t_stack @ v.T[:, :, None]))[:, :, 0].T

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .als import AlsConfig, als_init, als_update_s, als_update_t
-from .matrix import frobenius_norm, gaussian_matrix, orthonormal_basis, small_svd
+from .matrix import frobenius_norm, gaussian_matrix, small_svd
 from .spectral import power_method_norm
 from .testmat import orthonormal_columns
 
@@ -47,12 +47,14 @@ def lstsq_solve_right(t, a, rank_deficient_ok: bool = False) -> np.ndarray:
 
 
 def projector(a) -> np.ndarray:
-    """Orthogonal projector Q Q* onto col(a), with Q from orthonormal_basis.
+    """Orthogonal projector Q Q* onto col(a), the one place where a rank is the answer.
 
-    Idempotent and self-adjoint; the zero matrix has an m-by-0 basis and so
-    maps to the zero projector.
+    Q is scipy.linalg.orth(a): the left singular vectors of the singular
+    values above max(m, n) * eps * sigma_max.  Idempotent and self-adjoint;
+    a rank-deficient ``a`` projects onto its numerical column space, and the
+    zero matrix has an m-by-0 basis and so maps to the zero projector.
     """
-    q = orthonormal_basis(a)
+    q = scipy.linalg.orth(a)
     return q @ q.conj().T
 
 

@@ -116,3 +116,20 @@ def dft_residual_norm(sigma: np.ndarray, s: np.ndarray) -> float:
     w = dft_matrix(m).conj().T @ s
     residual = np.eye(m, r) * sigma - w @ (w[:r].conj().T * sigma)
     return float(np.linalg.svd(residual, compute_uv=False)[0])
+
+
+def subspace_iteration_error(sigma: np.ndarray, g: np.ndarray, j: int) -> float:
+    """||A - S S^H A||_2 in exact arithmetic, up to the rounding of a small
+    QR and SVD, for col(S) = col((A A^H)^j A Omega).
+
+    A = U diag(sigma) V^H with U of orthonormal columns, V unitary and
+    sigma_k > 0, where k is the column count of G = V^H Omega.  In U's
+    coordinates col(S) = col(Sigma^p G), p = 2 j + 1, which is col([I; X])
+    with X = Sigma_2^p G_2 G_1^{-1} Sigma_1^{-p} (1 = the leading k rows,
+    2 = the rest): entries that stay representable where Sigma^p G underflows.
+    """
+    k, p = g.shape[1], 2 * j + 1
+    x = (sigma[k:, None] ** p * g[k:]) @ np.linalg.inv(g[:k]) / sigma[None, :k] ** p
+    q = np.linalg.qr(np.vstack([np.eye(k), x]))[0]
+    residual = np.diag(sigma) - q @ (q.conj().T * sigma)
+    return float(np.linalg.svd(residual, compute_uv=False)[0])

@@ -19,10 +19,10 @@ from lowrank_als.als import (
 )
 from lowrank_als.io import save_matrix
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix, orthonormal_basis, small_svd
-from lowrank_als.testmat import TestMatrixSpec
+from lowrank_als.testmat import TestMatrixSpec, build_test_matrix
 from lowrank_als.verify import projector
 
-from oracles import normal_equations_solve
+from oracles import ROUNDING_ALLOWANCE, normal_equations_solve, subspace_iteration_error
 
 
 class TestConfigValidation:
@@ -149,13 +149,14 @@ class TestRun:
         assert sigma[2] - 1e-10 * sigma[0] <= err <= sigma[1]
 
     def test_degenerate_rank_below_k(self):
-        # rank(A) = 1 < k = 2: the orthonormalized sketch is trimmed to one
-        # column, and the factorization reproduces A exactly.
+        # rank(A) = 1 < k = 2: S keeps two orthonormal columns, and the
+        # factorization reproduces A exactly.
         g = gaussian_matrix(8, 1, seed=14)
         h = gaussian_matrix(1, 6, seed=15)
         a = g @ h
         cfg = AlsConfig(rank_k=2, iterations_j=2, seed=16)
         fact = als_run(a, cfg)
+        assert fact.s.shape[1] == 2
         assert frobenius_norm(fact.s @ fact.t - a) <= 1e-10 * frobenius_norm(a)
 
     def test_exact_factorization_zero_error(self):
@@ -211,7 +212,7 @@ TRAJECTORY_INPUTS = pytest.mark.parametrize(
     [
         (gaussian_matrix(12, 9, seed=30), 3),
         (gaussian_matrix(9, 12, seed=31, field="complex"), 3),
-        # rank(A) = 2 < k = 4: every iterate has two columns.
+        # rank(A) = 2 < k = 4: every iterate still has four columns.
         (gaussian_matrix(12, 2, seed=32) @ gaussian_matrix(2, 9, seed=33), 4),
     ],
     ids=["real", "complex", "rank_below_k"],
@@ -232,7 +233,7 @@ class TestTrajectory:
             assert np.array_equal(got.s, want.s) and np.array_equal(got.t, want.t)
             assert np.array_equal(got.s, state.s) and np.array_equal(got.t, state.t)
             assert got.frobenius_error_trace == want.frobenius_error_trace == state.error_trace
-            assert got.s.shape[1] == min(k, np.linalg.matrix_rank(a))
+            assert got.s.shape[1] == k
 
     @TRAJECTORY_INPUTS
     def test_batch_matches_standalone_runs(self, a, k):
@@ -381,10 +382,10 @@ class TestBlockedResidual:
         assert np.allclose(trace, oracles, rtol=0, atol=1e-12 * frobenius_norm(a))
 
     def test_tracked_trace_rank_below_k(self):
-        # rank(A) = 2 < k = 4: S has two columns, and the residual is rounding.
+        # rank(A) = 2 < k = 4: S has four columns, and the residual is rounding.
         a = gaussian_matrix(5000, 2, seed=55) @ gaussian_matrix(2, 8, seed=56)
         trace, oracles, state = _tracked_half_steps(a, 4, 2)
-        assert state.s.shape[1] == 2
+        assert state.s.shape[1] == 4
         assert np.allclose(trace, oracles, rtol=0, atol=1e-12 * frobenius_norm(a))
 
     @BLOCKED_INPUTS
@@ -434,6 +435,77 @@ class TestTrackingMemory:
         fact = als_run(self.A, AlsConfig(rank_k=3, iterations_j=2, seed=63))
         peak = _traced_peak(lambda: approximation_error(self.A, fact, "frobenius"))
         assert peak <= self.LIMIT
+
+
+def _graded_matrix(field, tail):
+    """sigma = (1, 1e-13 x9, tail x190), A = U diag(sigma) V^H at 300x200, and V.
+
+    With k = 10, the sketch and the later blocks have pivots far below
+    max(m, n) * eps of their largest, and every one of them is needed to
+    reach sigma_{k+1} = tail.
+    """
+    sigma = np.concatenate([[1.0], np.full(9, 1e-13), np.full(190, tail)])
+    u = np.linalg.qr(gaussian_matrix(300, 200, seed=61, field=field))[0]
+    v = np.linalg.qr(gaussian_matrix(200, 200, seed=62, field=field))[0]
+    return (u * sigma) @ v.conj().T, sigma, v
+
+
+class TestNoColumnLost:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("tail", [1e-14, 1e-15])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_graded_spectrum_reaches_next_singular_value(self, field, tail, seed):
+        # At j = 1 one start can still be far from sigma_{k+1} in exact
+        # arithmetic (real seed 0: 8.9 sigma_{k+1}, its V^H Omega is nearly
+        # deficient in the leading k rows), so every j is held to the exact
+        # error of its start, and j >= 2 also to the paper's claim.
+        (a, sigma, v), k = _graded_matrix(field, tail), 10
+        g = v.conj().T @ gaussian_matrix(200, k, seed, field)  # V^H Omega of the start als_init draws
+        trajectory = als_trajectories(a, AlsConfig(rank_k=k, iterations_j=5, seed=seed), (seed,))
+        for i, (fact,) in enumerate(trajectory):
+            assert fact.s.shape[1] == k
+            if i in (1, 2, 5):
+                err = small_svd(a - fact.s @ fact.t).sigma[0]
+                assert err <= subspace_iteration_error(sigma, g, i) + ROUNDING_ALLOWANCE
+                if i >= 2:
+                    assert err <= 1.05 * sigma[k] + ROUNDING_ALLOWANCE
+
+    def test_dft_spec_keeps_k_columns(self):
+        # sigma_10 = delta = 1e-14: the A Q blocks have pivots below the
+        # relative rank cutoff that orthonormal_basis no longer applies.
+        a = build_test_matrix(TestMatrixSpec(128, 256, 10, 1e-14))
+        config = AlsConfig(rank_k=10, iterations_j=10, seed=0)
+        for factorizations in als_trajectories(a, config, range(5)):
+            assert all(f.s.shape == (128, 10) and f.t.shape == (10, 256) for f in factorizations)
+
+
+def _assert_full_rank_k(a, fact):
+    """k = min(m, n) orthonormal columns of S, and a residual at rounding."""
+    k = min(a.shape)
+    assert fact.s.shape == (a.shape[0], k) and fact.t.shape == (k, a.shape[1])
+    assert frobenius_norm(fact.s.conj().T @ fact.s - np.eye(k)) <= 1e-12
+    assert small_svd(a - fact.s @ fact.t).sigma[0] <= 1e-13 * small_svd(a).sigma[0]
+
+
+class TestRankKEqualsMinDimension:
+    SHAPES = pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 7)], ids=["tall", "wide", "square"])
+    FIELDS = pytest.mark.parametrize("field", ["real", "complex"])
+
+    @SHAPES
+    @FIELDS
+    def test_one_seed(self, shape, field):
+        a = gaussian_matrix(*shape, seed=63, field=field)
+        _assert_full_rank_k(a, als_run(a, AlsConfig(rank_k=min(shape), iterations_j=2, seed=64)))
+
+    @SHAPES
+    @FIELDS
+    def test_batch(self, shape, field):
+        a = gaussian_matrix(*shape, seed=65, field=field)
+        config = AlsConfig(rank_k=min(shape), iterations_j=2, seed=0)
+        for factorizations in als_trajectories(a, config, (66, 67, 68)):
+            assert len(factorizations) == 3
+            for fact in factorizations:
+                _assert_full_rank_k(a, fact)
 
 
 class TestSerialization:

@@ -140,8 +140,12 @@ class TestNormsAndAdjoint:
 
 
 class TestRankHelpers:
-    def test_orthonormal_basis_trims_to_rank(self):
-        m = np.ones((5, 3))
-        q = orthonormal_basis(m)
-        assert q.shape == (5, 1)
-        assert abs(frobenius_norm(q) - 1.0) <= 1e-12
+    def test_orthonormal_basis_keeps_every_column(self):
+        # rank(m) < 3 loses no column: all three come back orthonormal, and
+        # their span contains col(m).  Trimming to the rank is
+        # verify.projector's.
+        for m in (np.ones((5, 3)), (1 + 1j) * np.ones((5, 3)), np.zeros((5, 3))):
+            q = orthonormal_basis(m)
+            assert q.shape == (5, 3)
+            assert frobenius_norm(q.conj().T @ q - np.eye(3)) <= 1e-12
+            assert frobenius_norm(m - q @ (q.conj().T @ m)) <= 1e-12

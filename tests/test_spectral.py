@@ -177,9 +177,9 @@ class TestSharedMeasurement:
     )
     def test_matches_standalone_and_scales(self, rows, cols, field, n_pairs, exponent, seed, data):
         a = gaussian_matrix(rows, cols, seed, field)
+        k = data.draw(st.integers(1, min(rows, cols) - 1))
         pairs = []
         for i in range(n_pairs):
-            k = data.draw(st.integers(1, min(rows, cols) - 1))
             j = data.draw(st.integers(0, 3))
             fact = als_run(a, AlsConfig(rank_k=k, iterations_j=j, seed=seed + i))
             pairs.append((fact.s, fact.t))
@@ -212,12 +212,14 @@ class TestSharedMeasurement:
         assert abs(with_zero[0] - want) <= 1e-10 * want
 
     def test_mismatched_pair_rejected(self):
-        # A one-row S would broadcast into the m-row stack without this check.
+        # A one-row S would broadcast into the m-row stack without this check,
+        # and every pair of one call shares one width k.
         a = gaussian_matrix(6, 5, seed=14)
         s, t = gaussian_matrix(6, 2, seed=15), gaussian_matrix(2, 5, seed=16)
-        for bad in [(s[:1], t), (s, t[:, :1]), (s, t[:1]), (s[:, 0], t)]:
+        mixed_widths = [(s, t), (s[:, :1], t[:1])]
+        for bad in [[(s[:1], t)], [(s, t[:, :1])], [(s, t[:1])], [(s[:, 0], t)], mixed_widths]:
             with pytest.raises(ValueError, match="do not fit"):
-                power_method_norm(a, minus=[bad])
+                power_method_norm(a, minus=bad)
 
     def test_no_pairs_returns_float(self):
         a = gaussian_matrix(6, 5, seed=13)

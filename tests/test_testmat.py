@@ -292,7 +292,8 @@ class TestDftCoordinates:
     def test_measurement_matches_dense_measurement(self, shape):
         spec = TestMatrixSpec(*shape, 2, 1e-3)
         a = build_test_matrix(spec)
-        blocks = _orthonormal_blocks(spec.m, (2, 3), seed=11)
+        # One width for both blocks: the pairs of one measurement share k.
+        blocks = _orthonormal_blocks(spec.m, (2, 2), seed=11)
         want = power_method_norm(a, minus=[(s, s.conj().T @ a) for s in blocks])
         sigma, pairs, start = dft_coordinates(spec, blocks)
         got = power_method_norm(sigma, start=start, minus=pairs)

@@ -128,3 +128,7 @@ class TestProjector:
 
     def test_zero_matrix(self):
         assert np.array_equal(projector(np.zeros((3, 2))), np.zeros((3, 3)))
+
+    def test_trims_to_rank(self):
+        # rank(ones) = 1: the projector onto the span of the ones vector.
+        assert frobenius_norm(projector(np.ones((5, 3))) - np.full((5, 5), 0.2)) <= 1e-12
