@@ -97,16 +97,18 @@ class AlsState:
     error_trace: list[float] = field(default_factory=list)
 
 
-def _bases_side_by_side(x, k):
-    """Orthonormal bases of the blocks of ``k`` columns of ``x``, side by side.
+def _bases_side_by_side(x, k, adjoint):
+    """Orthonormal bases of the blocks of ``k`` columns of ``x`` (of x* if ``adjoint``), side by side.
 
     Each basis is written into one F-ordered array, the layout the products
     with A take, as soon as it exists, so a batch holds one block's
-    temporaries at a time.
+    temporaries at a time.  For x* that includes the block itself: k rows of
+    ``x`` are conjugated at a time, never all of x*.
     """
-    out = np.empty(x.shape, x.dtype, order="F")
-    for start in range(0, x.shape[1], k):
-        out[:, start : start + k] = orthonormal_basis(x[:, start : start + k])
+    out = np.empty(x.shape[::-1] if adjoint else x.shape, x.dtype, order="F")
+    for start in range(0, out.shape[1], k):
+        cols = slice(start, start + k)
+        out[:, cols] = orthonormal_basis(x[cols].conj().T if adjoint else x[:, cols])
     return out
 
 
@@ -167,7 +169,7 @@ def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
     sketch = times(a, np.hstack([gaussian_matrix(a.shape[1], config.rank_k, seed, fld) for seed in seeds]))
     if not sketch.any():
         raise ValueError("the sketch A @ Omega is zero (rank 0); A is zero to working precision")
-    return AlsState(a=a, config=config, s=_bases_side_by_side(sketch, config.rank_k))
+    return AlsState(a=a, config=config, s=_bases_side_by_side(sketch, config.rank_k, adjoint=False))
 
 
 def als_update_t(state: AlsState) -> AlsState:
@@ -194,12 +196,12 @@ def als_update_s(state: AlsState) -> AlsState:
     minimizer, ||A Q Q* - A||_F: one more pass over A, by row blocks of at
     most BLOCK_BYTES.
     """
-    q = _bases_side_by_side(state.t.conj().T, state.config.rank_k)
+    q = _bases_side_by_side(state.t, state.config.rank_k, adjoint=True)
     aq = times(state.a, q)
     if state.config.track_errors:
         state.error_trace.append(_residual_norm(state.a, aq, q.conj().T))
     del q  # the batch's Q is not needed by the per-seed bases below
-    state.s = _bases_side_by_side(aq, state.config.rank_k)
+    state.s = _bases_side_by_side(aq, state.config.rank_k, adjoint=False)
     return state
 
 

@@ -13,14 +13,14 @@ Batching pays most where a product with few columns is slowest, as for
 als-bench --full at k = 2 (figures in als.py).  The cells of one test matrix
 are measured together: after the batch, a single
 power_method_norm(op, minus=...) call estimates all their epsilons with
-shared applies of the test matrix.  Each estimate differs from a standalone
+shared applies of one operator.  Each estimate differs from a standalone
 measurement of its cell only by rounding.
-ALS runs on the dense A, the rounding of the exact F Sigma G.  A DFT test
-matrix of any shape is measured in the DFT's coordinates
-(testmat.dft_coordinates): on the m-by-r residuals
-Sigma_r - W W[:r]^H Sigma, from the protocol's start mapped there, so the
-100 iterations run without an FFT.  A real_orthogonal one is measured on the
-dense A.  A SuiteConfig is the grid alone; writing records to a file is up
+ALS runs on the dense A, the rounding of the exact F Sigma G.  Every test
+matrix, of either transform and any shape, is measured in its own
+coordinates (testmat.residual_coordinates), with the dense A released
+first: on the m-by-r residuals Sigma_r - W W[:r]^H Sigma, from the
+protocol's start mapped there, so the 100 iterations read neither A nor F.
+A SuiteConfig is the grid alone; writing records to a file is up
 to the caller (write_csv, write_json).
 """
 
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .als import AlsConfig, als_trajectories
 from .spectral import power_method_norm
-from .testmat import TestMatrixSpec, build_test_matrix, dft_coordinates
+from .testmat import TestMatrixSpec, build_test_matrix, residual_coordinates
 
 CSV_HEADER = "m,n,transform,k,delta,j,seed,epsilon,t_seconds"
 
@@ -69,9 +69,8 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     the start of the sketch to the moment T_j exists, divided by the number
     of seeds: a one-seed batch makes the operations of a standalone run of
     the cell.  A half-step that raises at step i fails the cells with j >= i
-    of every seed.  One power_method_norm call then measures every
-    epsilon: in dft_coordinates(spec) for a DFT matrix, with A released first
-    since it is not read, and on A for a real_orthogonal one.  If the
+    of every seed.  A is then released, and one power_method_norm call
+    measures every epsilon in residual_coordinates(spec).  If the
     measurement raises, its exception stands for every cell that reached it.
     """
     a = build_test_matrix(spec)
@@ -92,12 +91,9 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
     runs = [(index, by_j[j][0][seed], by_j[j][1]) for index, (j, seed) in enumerate(cells) if j in by_j]
     if not runs:
         return outcomes
-    op = a if spec.transform == "real_orthogonal" else None
-    del a  # a DFT matrix is measured without its dense build
+    del a  # the measurement does not read the dense build
     try:
-        minus, start = [(f.s, f.t) for _, f, _ in runs], None
-        if op is None:
-            op, minus, start = dft_coordinates(spec, [s for s, _ in minus])
+        op, minus, start = residual_coordinates(spec, [f.s for _, f, _ in runs])
         epsilons = power_method_norm(op, start=start, minus=minus)
     except Exception as exc:  # noqa: BLE001
         for index, _, _ in runs:

@@ -10,10 +10,12 @@ rank-k spectral error is exactly delta and the spectral norm of A is 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, qr
 from scipy.sparse.linalg import LinearOperator
 
 from .matrix import gaussian_matrix
@@ -117,25 +119,54 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
     return f_r @ (sig[:, None] * g_r)
 
 
-def dft_coordinates(spec: TestMatrixSpec, s_blocks):
-    """The residuals A - S_i S_i^H A of a DFT spec in the DFT's coordinates.
+def _reflected_transpose(m: int, r: int, seed: int):
+    """x -> Q^T x for the complete m-by-m Q of the QR of gaussian_matrix(m, r, seed),
+    applied from the QR's r Householder reflectors (LAPACK ormqr), never formed."""
+    (h, tau), _ = qr(gaussian_matrix(m, r, seed, "real"), mode="raw")
+    ormqr = get_lapack_funcs("ormqr", (h,))
 
-    A = F Sigma_r G_r with F the unitary m-point DFT, Sigma_r the m-by-r
-    diagonal [Sigma; 0] (r = min(m, n)) and G_r the first r rows of the
-    n-point DFT, which are orthonormal.  With W_i = F^H S_i,
-    A - S_i S_i^H A = F (Sigma_r - W_i W_i[:r]^H Sigma) G_r, whose norm is
-    that of the m-by-r middle factor.  Returns (sigma, pairs, start) for
-    power_method_norm(sigma, start=start, minus=pairs): Sigma_r as an m-by-r
-    operator, the pairs (W_i, W_i[:r]^H Sigma), and G_r v_0 for the default
-    start v_0 of a measurement on A.  Each iterate of that measurement is
-    G_r^H times one of this, so the estimates agree up to rounding; nothing
-    is dropped, so this holds for tall specs too.  The pairs take
+    def apply(x):
+        lwork = ormqr("L", "T", h, tau, x, -1)[1][0]
+        return ormqr("L", "T", h, tau, x, int(lwork))[0]
+
+    return apply
+
+
+def residual_coordinates(spec: TestMatrixSpec, s_blocks):
+    """The residuals A - S_i S_i^H A of a test matrix in its own coordinates.
+
+    A = F Sigma_r G_r with F unitary m-by-m, Sigma_r the m-by-r diagonal
+    [Sigma; 0] (r = min(m, n)) and G_r with r orthonormal rows.  With
+    W_i = F^H S_i, A - S_i S_i^H A = F (Sigma_r - W_i W_i[:r]^H Sigma) G_r,
+    whose norm is that of the m-by-r middle factor.  Returns
+    (sigma, pairs, start) for power_method_norm(sigma, start=start,
+    minus=pairs): Sigma_r as an m-by-r operator, the pairs
+    (W_i, W_i[:r]^H Sigma), and G_r v_0 for the default start v_0 of a
+    measurement on A.  Each iterate of that measurement is G_r^H times one of
+    this, so the estimates agree up to rounding.  The pairs take
     T_i = S_i^H A, the ALS T-update.
+
+    The transforms differ only in the maps S -> F^H S and v_0 -> G_r v_0.
+    For the DFT they are an inverse FFT of S and the first r entries of an
+    FFT of v_0.  For real_orthogonal, F is the complete Q of the build's QR
+    (its first r columns are F_r up to rounding), and G_r v_0 the first r
+    entries of Q_G^T v_0 for the QR that gives G_r.  F must be complete:
+    S_i need not lie in range(F_r), and the thin F_r^T S_i would silently
+    drop the part outside it (at 48x32, delta = 1e-3, arbitrary orthonormal
+    blocks moved the estimate by 3e-3 relative, where rounding accounts for
+    7e-12).  It is applied from reflectors: a formed F takes m^2 entries,
+    more than the whole build of a spec with m > 6.2 r.
     """
-    if spec.transform != "dft":
-        raise ValueError(f"dft_coordinates needs a dft spec, got {spec}")
-    m, r = spec.m, min(spec.m, spec.n)
+    m, n, r = spec.m, spec.n, min(spec.m, spec.n)
     sig = sigma_spectrum(spec)
+    if spec.transform == "dft":
+        v0 = gaussian_matrix(n, 1, DEFAULT_POWER_SEED, "complex")
+        start = np.fft.fft(v0, axis=0, norm="ortho")[:r]
+        coordinates = functools.partial(np.fft.ifft, axis=0, norm="ortho")
+    else:
+        v0 = gaussian_matrix(n, 1, DEFAULT_POWER_SEED, "real")
+        start = _reflected_transpose(n, r, spec.seed + 1)(v0)[:r]
+        coordinates = _reflected_transpose(m, r, spec.seed)
 
     def forward(v):
         return np.concatenate([sig[:, None] * v, np.zeros((m - r, v.shape[1]))])
@@ -153,7 +184,6 @@ def dft_coordinates(spec: TestMatrixSpec, s_blocks):
     )
     pairs = []
     for s in s_blocks:
-        w = np.fft.ifft(s, axis=0, norm="ortho")
+        w = coordinates(s)
         pairs.append((w, w[:r].conj().T * sig))
-    v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, "complex")
-    return sigma, pairs, np.fft.fft(v0, axis=0, norm="ortho")[:r]
+    return sigma, pairs, start

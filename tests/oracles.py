@@ -4,11 +4,17 @@ Nothing here calls the code paths under test: eigenvalues come from a cyclic
 Jacobi sweep, least-squares solutions from explicitly inverted normal
 equations, the residual A - S T from one matrix-vector product per term, the
 discrete Fourier transform from its entry formula, and the exact residual
-norm of a DFT test matrix from a dense SVD in the DFT's coordinates.
+norm of a test matrix from a dense SVD in its own coordinates, with the
+complete transform formed as a dense matrix.  Only the inputs that define a
+test matrix, its spectrum and its seeded Gaussian draws, come from the
+library.
 """
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
+
+from lowrank_als.matrix import gaussian_matrix
+from lowrank_als.testmat import sigma_spectrum
 
 
 def jacobi_eigenvalues_symmetric(h: np.ndarray, sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
@@ -95,25 +101,38 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)
 
 
-# A DFT test matrix is measured on the exact residual in the DFT's
-# coordinates; the dense A is the rounding of F Sigma G,
+# A test matrix is measured on the exact residual in its own coordinates;
+# the dense A is the rounding of F Sigma G,
 # ||A - F Sigma G||_2 <= about log2(m n) * eps * ||A|| (19 at 512x1024), and
 # forming A - S T, W and the SVDs add a few eps * ||A|| more.  ||A|| = 1 for
 # every test matrix, so this bounds the gap between the two in absolute terms.
 ROUNDING_ALLOWANCE = 32 * np.finfo(float).eps
 
 
-def dft_residual_norm(sigma: np.ndarray, s: np.ndarray) -> float:
+def complete_transform(spec) -> np.ndarray:
+    """The unitary m-by-m F of a test matrix A = F Sigma_r G_r, as a dense matrix.
+
+    For the DFT, dft_matrix(m).  For real_orthogonal, the complete Q of
+    numpy's QR of the build's Gaussian, whose first r = min(m, n) columns are
+    the build's F_r up to rounding.
+    """
+    if spec.transform == "dft":
+        return dft_matrix(spec.m)
+    return np.linalg.qr(gaussian_matrix(spec.m, min(spec.m, spec.n), spec.seed, "real"), mode="complete")[0]
+
+
+def residual_norm(spec, s: np.ndarray) -> float:
     """sigma_max(Sigma_r - W W[:r]^H Sigma) with W = F^H S, by a dense SVD of the m-by-r matrix.
 
-    For a DFT test matrix A = F Sigma_r G_r (F the unitary m-point DFT,
+    For a test matrix A = F Sigma_r G_r (F = complete_transform(spec),
     Sigma_r the m-by-r diagonal [Sigma; 0], G_r with orthonormal rows), this
     is ||A - S S^H A||_2 exactly, up to the rounding of the SVD.  For a wide
     or square matrix (m = r) it is sigma_max(Sigma - W W^H Sigma).  W comes
-    from dft_matrix, not from an FFT.
+    from a dense F, not from an FFT or Householder reflectors.
     """
+    sigma = sigma_spectrum(spec)
     m, r = s.shape[0], len(sigma)
-    w = dft_matrix(m).conj().T @ s
+    w = complete_transform(spec).conj().T @ s
     residual = np.eye(m, r) * sigma - w @ (w[:r].conj().T * sigma)
     return float(np.linalg.svd(residual, compute_uv=False)[0])
 

@@ -17,9 +17,9 @@ from lowrank_als.bench import (
 )
 from lowrank_als.matrix import small_svd
 from lowrank_als.spectral import power_method_norm
-from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
+from lowrank_als.testmat import TestMatrixSpec, build_test_matrix
 
-from oracles import ROUNDING_ALLOWANCE, dft_residual_norm
+from oracles import ROUNDING_ALLOWANCE, residual_norm
 
 SMALL_SPEC = TestMatrixSpec(32, 64, 2, 1e-3)
 
@@ -210,9 +210,7 @@ def operator_cells(operator_runs):
 @pytest.fixture(scope="module")
 def exact_cells(operator_runs, operator_cells):
     """(record, dense-SVD truth, exact reduced residual norm) per cell of OPERATOR_SUITE."""
-    exact = [
-        dft_residual_norm(sigma_spectrum(spec), f.s) for spec, _, _, facts in operator_runs for f in facts
-    ]
+    exact = [residual_norm(spec, f.s) for spec, _, _, facts in operator_runs for f in facts]
     return [(rec, truth, x) for (rec, _, truth), x in zip(operator_cells, exact)]
 
 
@@ -236,7 +234,7 @@ def tall_exact_cells():
         for rec in (r for r in records if (r.k, r.delta) == (k, delta)):
             f = als_run(a, AlsConfig(rank_k=k, iterations_j=rec.j, seed=rec.seed))
             truth = small_svd(a - f.s @ (f.s.conj().T @ a)).sigma[0]
-            cells.append((rec, truth, dft_residual_norm(sigma_spectrum(spec), f.s)))
+            cells.append((rec, truth, residual_norm(spec, f.s)))
     return cells
 
 
@@ -292,29 +290,44 @@ class TestExactYardstick:
 
 
 class TestMeasurementPath:
-    """A DFT matrix of any shape is measured in the DFT's coordinates."""
+    """A test matrix of either transform and any shape is measured in its own coordinates."""
 
-    @pytest.mark.parametrize("size", [(96, 96), (96, 48)], ids=["square", "tall"])
-    def test_matches_dense_measurement(self, monkeypatch, size):
+    @pytest.mark.parametrize(
+        "transform, size",
+        [
+            ("dft", (96, 96)),
+            ("dft", (96, 48)),
+            ("dft", (48, 96)),
+            ("real_orthogonal", (48, 96)),
+            ("real_orthogonal", (96, 96)),
+            ("real_orthogonal", (96, 48)),
+        ],
+        ids=["square", "tall", "wide", "real_orthogonal-wide", "real_orthogonal-square", "real_orthogonal-tall"],
+    )
+    def test_matches_dense_measurement(self, monkeypatch, transform, size):
         import lowrank_als.bench as bench
 
         calls = []
-        real = bench.dft_coordinates
+        real = bench.residual_coordinates
 
         def counted(*args):
             calls.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(bench, "dft_coordinates", counted)
+        monkeypatch.setattr(bench, "residual_coordinates", counted)
         config = SuiteConfig(
-            sizes=(size,), rank_deltas=((2, 1e-3), (2, 1e-11)), iteration_counts=(0, 2), seeds=(0, 1)
+            sizes=(size,),
+            rank_deltas=((2, 1e-3), (2, 1e-11)),
+            iteration_counts=(0, 2),
+            seeds=(0, 1),
+            transform=transform,
         )
         records, summary = run_suite(config)
         assert not summary["failures"] and len(records) == 8
-        assert [(spec.m, spec.n) for spec in calls] == [size, size]
+        assert [(spec.m, spec.n, spec.transform) for spec in calls] == [(*size, transform)] * 2
         for k, delta in config.rank_deltas:
             recs = [r for r in records if r.delta == delta]
-            a = build_test_matrix(TestMatrixSpec(*size, k, delta))
+            a = build_test_matrix(TestMatrixSpec(*size, k, delta, transform=transform))
             facts = [als_run(a, AlsConfig(rank_k=k, iterations_j=r.j, seed=r.seed)) for r in recs]
             dense = power_method_norm(a, minus=[(f.s, f.t) for f in facts])
             # Both measurements follow the same iterates, and the dense A is
@@ -325,6 +338,47 @@ class TestMeasurementPath:
             tol = ROUNDING_ALLOWANCE / delta
             for rec, want in zip(recs, dense):
                 assert abs(rec.epsilon - want) <= tol * want
+
+
+@pytest.fixture(scope="module")
+def real_cells():
+    """(record, dense-A epsilon, dense-SVD truth, exact reduced residual norm)
+    per cell of OPERATOR_SUITE with real_orthogonal test matrices."""
+    config = dataclasses.replace(OPERATOR_SUITE, transform="real_orthogonal")
+    records, summary = run_suite(config)
+    assert not summary["failures"]
+    cells = []
+    for k, delta in config.rank_deltas:
+        spec = TestMatrixSpec(512, 1024, k, delta, transform="real_orthogonal")
+        recs = [r for r in records if (r.k, r.delta) == (k, delta)]
+        a = build_test_matrix(spec)
+        facts = [als_run(a, AlsConfig(rank_k=k, iterations_j=r.j, seed=r.seed)) for r in recs]
+        dense = power_method_norm(a, minus=[(f.s, f.t) for f in facts])
+        for rec, want, f in zip(recs, dense, facts):
+            cells.append((rec, want, small_svd(a - f.s @ f.t).sigma[0], residual_norm(spec, f.s)))
+    return cells
+
+
+class TestRealOrthogonalMeasurement:
+    """real_orthogonal cells, measured in the coordinates of the complete F.
+
+    No near-optimality gate: a real j = 2 cell can sit above 1.05 delta
+    (k = 10, delta = 1e-3, seed 4 gives 1.064, confirmed by a dense SVD), a
+    property of the method without oversampling, not of the measurement.
+    """
+
+    def test_matches_dense_measurement(self, real_cells):
+        assert len(real_cells) == 12
+        for rec, dense, _, _ in real_cells:
+            assert abs(rec.epsilon - dense) <= ROUNDING_ALLOWANCE / rec.delta * dense
+
+    def test_exact_matches_dense_svd_truth(self, real_cells):
+        for _, _, truth, exact in real_cells:
+            assert abs(exact - truth) <= ROUNDING_ALLOWANCE
+
+    def test_estimate_at_most_truth(self, real_cells):
+        for rec, _, truth, _ in real_cells:
+            assert rec.epsilon <= truth + ROUNDING_ALLOWANCE
 
 
 class TestOutputFormats:

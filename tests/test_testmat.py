@@ -19,12 +19,12 @@ from lowrank_als.testmat import (
     MemoryBudgetError,
     TestMatrixSpec,
     build_test_matrix,
-    dft_coordinates,
     orthonormal_columns,
+    residual_coordinates,
     sigma_spectrum,
 )
 
-from oracles import ROUNDING_ALLOWANCE, dft_matrix
+from oracles import ROUNDING_ALLOWANCE, complete_transform, dft_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -253,32 +253,47 @@ except MemoryBudgetError as err:
                 assert err.value.required_bytes <= MEMORY_BUDGET
 
 
-def _orthonormal_blocks(m, widths, seed):
-    return [np.linalg.qr(gaussian_matrix(m, k, seed + i, "complex"))[0] for i, k in enumerate(widths)]
+def _orthonormal_blocks(spec, widths, seed):
+    # Arbitrary orthonormal blocks in the test matrix's field, not confined to range(F_r).
+    field = "complex" if spec.transform == "dft" else "real"
+    return [np.linalg.qr(gaussian_matrix(spec.m, k, seed + i, field))[0] for i, k in enumerate(widths)]
+
+
+SHAPES = [(32, 64), (37, 50), (40, 40), (48, 32), (50, 37)]
+# The DFT, the default transform, goes unnamed in the ids.
+COORDINATE_CASES = pytest.mark.parametrize(
+    "transform, shape",
+    [("dft", shape) for shape in SHAPES] + [("real_orthogonal", shape) for shape in SHAPES],
+    ids=[f"shape{i}" for i in range(len(SHAPES))] + [f"real_orthogonal-{m}x{n}" for m, n in SHAPES],
+)
 
 
 class TestDftCoordinates:
-    @pytest.mark.parametrize("shape", [(32, 64), (37, 50), (40, 40), (48, 32), (50, 37)])
-    def test_parts_match_dense_coordinates(self, shape):
-        spec = TestMatrixSpec(*shape, 2, 1e-3)
+    """residual_coordinates for both transforms, against the dense F and G_r."""
+
+    @COORDINATE_CASES
+    def test_parts_match_dense_coordinates(self, transform, shape):
+        spec = TestMatrixSpec(*shape, 2, 1e-3, transform=transform)
         m, r = spec.m, min(shape)
+        field = "complex" if transform == "dft" else "real"
         sig = sigma_spectrum(spec)
-        blocks = _orthonormal_blocks(m, (2, 3), seed=5)
-        sigma, pairs, start = dft_coordinates(spec, blocks)
+        blocks = _orthonormal_blocks(spec, (2, 3), seed=5)
+        sigma, pairs, start = residual_coordinates(spec, blocks)
         assert sigma.shape == (m, r) and sigma.dtype == np.float64
-        x = gaussian_matrix(r, 2, seed=9, field="complex")
-        u = gaussian_matrix(m, 2, seed=10, field="complex")
+        x = gaussian_matrix(r, 2, seed=9, field=field)
+        u = gaussian_matrix(m, 2, seed=10, field=field)
         assert np.array_equal(sigma.matmat(x), np.eye(m, r) @ (sig[:, None] * x))
         assert np.array_equal(sigma.matvec(x[:, 0]), np.eye(m, r) @ (sig * x[:, 0]))
         assert np.array_equal(sigma.rmatmat(u), sig[:, None] * u[:r])
         assert np.array_equal(sigma.rmatvec(u[:, 0]), sig * u[:r, 0])
-        f_h = dft_matrix(m).conj().T
+        f = complete_transform(spec)
         for s, (w, wh_sigma) in zip(blocks, pairs):
-            assert np.max(np.abs(w - f_h @ s)) <= 1e-14
+            assert w.dtype == s.dtype
+            assert np.max(np.abs(w - f.conj().T @ s)) <= 1e-14
             assert np.array_equal(wh_sigma, w[:r].conj().T * sig)
-        v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, "complex")
-        g_r = dft_matrix(spec.n)[:r]
-        assert start.shape == (r, 1)
+        v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, field)
+        g_r = dft_matrix(spec.n)[:r] if transform == "dft" else orthonormal_columns(spec.n, r, spec.seed + 1).T
+        assert start.shape == (r, 1) and start.dtype == v0.dtype
         assert np.max(np.abs(start - g_r @ v0)) <= 1e-13
         # The residual maps G_r^H x to F (Sigma_r - W W[:r]^H Sigma) x, so
         # both have one norm: the power iterations follow the same iterates.
@@ -286,22 +301,19 @@ class TestDftCoordinates:
         s, (w, wh_sigma) = blocks[0], pairs[0]
         full = (a - s @ (s.conj().T @ a)) @ (g_r.conj().T @ x)
         reduced = sigma.matmat(x) - w @ (wh_sigma @ x)
-        assert np.max(np.abs(full - dft_matrix(m) @ reduced)) <= 1e-14
+        assert np.max(np.abs(full - f @ reduced)) <= 1e-14
 
-    @pytest.mark.parametrize("shape", [(32, 64), (37, 50), (40, 40), (48, 32), (50, 37)])
-    def test_measurement_matches_dense_measurement(self, shape):
-        spec = TestMatrixSpec(*shape, 2, 1e-3)
+    @COORDINATE_CASES
+    def test_measurement_matches_dense_measurement(self, transform, shape):
+        # On tall shapes the blocks reach outside range(F_r), so this fails
+        # if the coordinates keep only the thin F_r^H S.
+        spec = TestMatrixSpec(*shape, 2, 1e-3, transform=transform)
         a = build_test_matrix(spec)
         # One width for both blocks: the pairs of one measurement share k.
-        blocks = _orthonormal_blocks(spec.m, (2, 2), seed=11)
+        blocks = _orthonormal_blocks(spec, (2, 2), seed=11)
         want = power_method_norm(a, minus=[(s, s.conj().T @ a) for s in blocks])
-        sigma, pairs, start = dft_coordinates(spec, blocks)
+        sigma, pairs, start = residual_coordinates(spec, blocks)
         got = power_method_norm(sigma, start=start, minus=pairs)
         # The dense A is the rounding of F Sigma G, a few eps away (||A|| = 1).
         for g, w in zip(got, want):
             assert abs(g - w) <= ROUNDING_ALLOWANCE / spec.delta * w
-
-    def test_real_orthogonal_rejected(self):
-        spec = TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal")
-        with pytest.raises(ValueError, match="dft spec"):
-            dft_coordinates(spec, [np.zeros((spec.m, 1))])
