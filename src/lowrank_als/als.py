@@ -44,6 +44,7 @@ subtraction and norm.  The untracked iteration does not change.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -285,13 +286,27 @@ def save_factorization(directory, factorization: Factorization) -> None:
 def load_factorization(directory) -> Factorization:
     """Read a factorization written by save_factorization.
 
-    Raises ValueError when the ranks of S, T and the sidecar disagree.  Keys
-    of the sidecar other than those read here are ignored.
+    Raises ValueError, naming the directory, when the sidecar is not a JSON
+    object with integer (not bool) rank_k, iterations_j >= 0 and seed, when
+    its error_trace is neither null nor a list of finite numbers, or when the
+    ranks of S, T and the sidecar disagree.  A missing error_trace reads as
+    None; other keys of the sidecar are ignored.
     """
     s = io.load_matrix(os.path.join(directory, "s.alsm"))
     t = io.load_matrix(os.path.join(directory, "t.alsm"))
     with open(os.path.join(directory, "factorization.json")) as f:
         meta = json.load(f)
+    keys = ("rank_k", "iterations_j", "seed")
+    if not isinstance(meta, dict) or any(type(meta.get(key)) is not int for key in keys):
+        raise ValueError(f"{directory}: the sidecar needs integer rank_k, iterations_j and seed")
+    if meta["iterations_j"] < 0:
+        raise ValueError(f"{directory}: iterations_j={meta['iterations_j']} is negative")
+    trace = meta.get("error_trace")
+    if trace is not None and not (
+        isinstance(trace, list)
+        and all(type(x) is int or type(x) is float and math.isfinite(x) for x in trace)
+    ):
+        raise ValueError(f"{directory}: error_trace is neither null nor a list of finite numbers")
     if not s.shape[1] == t.shape[0] == meta["rank_k"]:
         raise ValueError(
             f"{directory}: S is {s.shape}, T is {t.shape} and the sidecar says "
@@ -302,5 +317,5 @@ def load_factorization(directory) -> Factorization:
         t=t,
         iterations_j=meta["iterations_j"],
         seed=meta["seed"],
-        frobenius_error_trace=meta.get("error_trace"),
+        frobenius_error_trace=trace,
     )

@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         deltas = _float_list(args.delta)
         config = SuiteConfig(
             sizes=tuple(sizes),
-            rank_deltas=tuple((k, d) for k in ks for d in deltas),
+            rank_deltas=tuple((k, d) for d in deltas for k in ks),
             iteration_counts=tuple(_int_list(args.iters)),
             seeds=tuple(_parse_seeds(args.seeds)),
             transform="real_orthogonal" if args.transform == "real" else "dft",

@@ -1,7 +1,7 @@
 """Spectral-norm estimation by the power method on implicitly defined operators.
 
-Operators are scipy.sparse.linalg.LinearOperator instances; a dense array is
-accepted wherever an operator is.
+An operator is a numpy array, a scipy sparse array or a LinearOperator; only
+a 2-d numpy array is applied by row blocks as stored.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_blas_funcs
 from scipy.sparse.linalg import aslinearoperator
-from scipy.sparse.linalg._interface import MatrixLinearOperator
 
 from .matrix import frobenius_norm, gaussian_matrix, times
 
@@ -35,10 +34,9 @@ def _normalize_columns(x: np.ndarray) -> np.ndarray:
 def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     """Estimate the spectral norm of ``op`` by power iteration on op* op.
 
-    ``op`` is a LinearOperator or anything aslinearoperator accepts, such as a
-    dense array.  Starts from v = ``start`` normalized, an n-vector or n-by-1
-    array that is finite and nonzero (``ValueError`` otherwise); the default
-    is gaussian_matrix(n, 1, DEFAULT_POWER_SEED, field) in the field of the
+    Starts from v = ``start`` normalized, an n-vector or n-by-1 array that
+    is finite and nonzero (``ValueError`` otherwise); the default is
+    gaussian_matrix(n, 1, DEFAULT_POWER_SEED, field) in the field of the
     operator and the pairs.  Runs ``n_iters`` steps of u <- normalize(op v),
     v <- normalize(op* u), then returns ||op v|| for the final unit v.
     Normalizing after each apply keeps every iterate a unit vector, so the
@@ -56,31 +54,31 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     standalone call on the operator op - s_i t_i in exact arithmetic and
     differs from it only by rounding, because a matrix-matrix product sums
     in another order than a matrix-vector one.
-    A dense ``op`` is applied as matrix.times(A, V) and (U* A)*, never as a
-    conjugated copy.
+    A 2-d numpy array ``op`` is applied as matrix.times(A, V) and (U* A)*,
+    never as a conjugated copy.  Anything else aslinearoperator accepts, such
+    as a scipy sparse array or a LinearOperator, is applied by its matmat and
+    rmatmat; for aslinearoperator(A) of a dense complex A, scipy's adjoint
+    keeps a conjugated copy of A, so pass the array itself.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    op = aslinearoperator(op)
+    if isinstance(op, np.ndarray) and op.ndim == 2:
+        # Both applies multiply a block of rows into A as stored.
+        def forward(v):
+            return times(op, v)
+
+        def backward(u):
+            return (u.conj().T @ op).conj().T
+
+    else:
+        op = aslinearoperator(op)
+        forward, backward = op.matmat, op.rmatmat
     m, n = op.shape
     pairs = [(np.asarray(s), np.asarray(t)) for s, t in minus]
     for s, t in pairs:
         # Each pair is m-by-k and k-by-n, with the first pair's k.
         if s.ndim != 2 or s.shape != (m, pairs[0][0].shape[1]) or t.shape != (s.shape[1], n):
             raise ValueError(f"pair shapes {s.shape} and {t.shape} do not fit a {m}x{n} operator")
-    if isinstance(op, MatrixLinearOperator):
-        # An array and aslinearoperator(array) take this same path.  Both
-        # applies multiply a block of rows into A as stored.
-        a = op.A
-
-        def forward(v):
-            return times(a, v)
-
-        def backward(u):
-            return (u.conj().T @ a).conj().T
-
-    else:
-        forward, backward = op.matmat, op.rmatmat
 
     dtype = np.result_type(op.dtype, *(x.dtype for pair in pairs for x in pair))
     if pairs:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qr
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse import dia_array
 
 from .matrix import gaussian_matrix
 from .spectral import DEFAULT_POWER_SEED
@@ -140,7 +140,7 @@ def residual_coordinates(spec: TestMatrixSpec, s_blocks):
     W_i = F^H S_i, A - S_i S_i^H A = F (Sigma_r - W_i W_i[:r]^H Sigma) G_r,
     whose norm is that of the m-by-r middle factor.  Returns
     (sigma, pairs, start) for power_method_norm(sigma, start=start,
-    minus=pairs): Sigma_r as an m-by-r operator, the pairs
+    minus=pairs): Sigma_r as an m-by-r scipy.sparse.dia_array, the pairs
     (W_i, W_i[:r]^H Sigma), and G_r v_0 for the default start v_0 of a
     measurement on A.  Each iterate of that measurement is G_r^H times one of
     this, so the estimates agree up to rounding.  The pairs take
@@ -168,20 +168,7 @@ def residual_coordinates(spec: TestMatrixSpec, s_blocks):
         start = _reflected_transpose(n, r, spec.seed + 1)(v0)[:r]
         coordinates = _reflected_transpose(m, r, spec.seed)
 
-    def forward(v):
-        return np.concatenate([sig[:, None] * v, np.zeros((m - r, v.shape[1]))])
-
-    def adjoint(u):
-        return sig[:, None] * u[:r]
-
-    sigma = LinearOperator(
-        (m, r),
-        matvec=lambda v: forward(v.reshape(r, 1)),
-        rmatvec=lambda u: adjoint(u.reshape(m, 1)),
-        matmat=forward,
-        rmatmat=adjoint,
-        dtype=np.float64,
-    )
+    sigma = dia_array((sig[None, :], [0]), shape=(m, r))
     pairs = []
     for s in s_blocks:
         w = coordinates(s)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -557,6 +558,51 @@ class TestSerialization:
         back = load_factorization(tmp_path / "fact")
         assert np.array_equal(back.s, fact.s)
         assert back.seed == 31
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda meta: [meta], id="not_an_object"),
+            pytest.param(lambda meta: {k: v for k, v in meta.items() if k != "rank_k"}, id="no_rank_k"),
+            pytest.param(lambda meta: {k: v for k, v in meta.items() if k != "iterations_j"}, id="no_iterations_j"),
+            pytest.param(lambda meta: {k: v for k, v in meta.items() if k != "seed"}, id="no_seed"),
+            pytest.param(lambda meta: {**meta, "iterations_j": "two"}, id="iterations_j_string"),
+            pytest.param(lambda meta: {**meta, "iterations_j": 1.5}, id="iterations_j_float"),
+            pytest.param(lambda meta: {**meta, "iterations_j": True}, id="iterations_j_bool"),
+            pytest.param(lambda meta: {**meta, "iterations_j": -3}, id="iterations_j_negative"),
+            pytest.param(lambda meta: {**meta, "seed": "31"}, id="seed_string"),
+            pytest.param(lambda meta: {**meta, "seed": 31.5}, id="seed_float"),
+            pytest.param(lambda meta: {**meta, "seed": False}, id="seed_bool"),
+            pytest.param(lambda meta: {**meta, "error_trace": "0.5"}, id="trace_string"),
+            pytest.param(lambda meta: {**meta, "error_trace": [0.5, "0.25"]}, id="trace_string_entry"),
+            pytest.param(lambda meta: {**meta, "error_trace": [0.5, True]}, id="trace_bool_entry"),
+            pytest.param(lambda meta: {**meta, "error_trace": [0.5, float("nan")]}, id="trace_nan"),
+            pytest.param(lambda meta: {**meta, "error_trace": [float("inf")]}, id="trace_inf"),
+        ],
+    )
+    def test_inconsistent_sidecar_rejected(self, tmp_path, edit):
+        import json
+
+        a = gaussian_matrix(8, 6, seed=35)
+        fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=31))
+        directory = tmp_path / "fact"
+        save_factorization(directory, fact)
+        path = directory / "factorization.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(str(directory))):
+            load_factorization(directory)
+
+    def test_missing_error_trace_reads_as_none(self, tmp_path):
+        import json
+
+        a = gaussian_matrix(8, 6, seed=36)
+        fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=37, track_errors=True))
+        save_factorization(tmp_path / "fact", fact)
+        path = tmp_path / "fact" / "factorization.json"
+        meta = json.loads(path.read_text())
+        del meta["error_trace"]
+        path.write_text(json.dumps(meta))
+        assert load_factorization(tmp_path / "fact").frobenius_error_trace is None
 
     def test_rank_mismatch_rejected(self, tmp_path):
         a = gaussian_matrix(8, 6, seed=32)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from lowrank_als import cli
+from lowrank_als.bench import SuiteConfig
 from lowrank_als.cli import main
 
 
@@ -67,6 +69,19 @@ def test_real_transform(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows[0]["transform"] == "real_orthogonal"
+
+
+def test_defaults_are_the_default_suite(monkeypatch):
+    # With no options the harness runs SuiteConfig() itself, cells in its order.
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return [], {"max_epsilon_over_delta_by_j": {}, "failures": []}
+
+    monkeypatch.setattr(cli, "run_suite", capture)
+    assert main([]) == 0
+    assert seen == [SuiteConfig()]
 
 
 def test_configuration_error_exit_code():

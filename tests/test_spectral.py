@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import aslinearoperator, svds
@@ -238,3 +239,18 @@ class TestSharedMeasurement:
         op = aslinearoperator(a) if operator else a
         zero_pair = (np.zeros((m, 1)), np.zeros((1, n)))
         assert power_method_norm(op) == power_method_norm(op, minus=[zero_pair])[0]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n_pairs", [0, 2])
+    def test_sparse_operand_matches_dense(self, field, n_pairs):
+        # A scipy sparse array goes through aslinearoperator, a dense one
+        # through the row-block applies; they differ only by rounding.
+        m, n = 9, 7
+        a = gaussian_matrix(m, n, seed=18, field=field)
+        pairs = [
+            (gaussian_matrix(m, 2, seed=19 + i, field=field), gaussian_matrix(2, n, seed=21 + i, field=field))
+            for i in range(n_pairs)
+        ]
+        got = power_method_norm(scipy.sparse.csr_array(a), minus=pairs)
+        want = power_method_norm(a, minus=pairs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

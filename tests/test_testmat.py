@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from lowrank_als import testmat
 from lowrank_als.cli import PAPER_SIZES
@@ -279,13 +280,14 @@ class TestDftCoordinates:
         sig = sigma_spectrum(spec)
         blocks = _orthonormal_blocks(spec, (2, 3), seed=5)
         sigma, pairs, start = residual_coordinates(spec, blocks)
+        assert scipy.sparse.issparse(sigma)
         assert sigma.shape == (m, r) and sigma.dtype == np.float64
         x = gaussian_matrix(r, 2, seed=9, field=field)
         u = gaussian_matrix(m, 2, seed=10, field=field)
-        assert np.array_equal(sigma.matmat(x), np.eye(m, r) @ (sig[:, None] * x))
-        assert np.array_equal(sigma.matvec(x[:, 0]), np.eye(m, r) @ (sig * x[:, 0]))
-        assert np.array_equal(sigma.rmatmat(u), sig[:, None] * u[:r])
-        assert np.array_equal(sigma.rmatvec(u[:, 0]), sig * u[:r, 0])
+        assert np.array_equal(sigma @ x, np.eye(m, r) @ (sig[:, None] * x))
+        assert np.array_equal(sigma @ x[:, 0], np.eye(m, r) @ (sig * x[:, 0]))
+        assert np.array_equal(sigma.T @ u, sig[:, None] * u[:r])
+        assert np.array_equal(sigma.T @ u[:, 0], sig * u[:r, 0])
         f = complete_transform(spec)
         for s, (w, wh_sigma) in zip(blocks, pairs):
             assert w.dtype == s.dtype
@@ -300,7 +302,7 @@ class TestDftCoordinates:
         a = build_test_matrix(spec)
         s, (w, wh_sigma) = blocks[0], pairs[0]
         full = (a - s @ (s.conj().T @ a)) @ (g_r.conj().T @ x)
-        reduced = sigma.matmat(x) - w @ (wh_sigma @ x)
+        reduced = sigma @ x - w @ (wh_sigma @ x)
         assert np.max(np.abs(full - f @ reduced)) <= 1e-14
 
     @COORDINATE_CASES

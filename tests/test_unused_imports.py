@@ -1,8 +1,11 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and the package
+imports nothing private from another package.
 
-A stdlib-only lint over src/lowrank_als (except __init__.py, which imports to
-re-export) and tests/: an import counts as used when its bound name appears
-as a name anywhere in the file's syntax tree.
+Stdlib-only lints.  The first runs over src/lowrank_als (except __init__.py,
+which imports to re-export) and tests/: an import counts as used when its
+bound name appears as a name anywhere in the file's syntax tree.  The second
+runs over src/lowrank_als: no absolute import names a module or name with a
+dotted-path part that starts with an underscore.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = [p for p in sorted((ROOT / "src" / "lowrank_als").glob("*.py")) if p.name != "__init__.py"]
+SRC_FILES = sorted((ROOT / "src" / "lowrank_als").glob("*.py"))
+FILES = [p for p in SRC_FILES if p.name != "__init__.py"]
 FILES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -29,11 +33,45 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def private_imports(source: str) -> list[str]:
+    """The dotted paths that ``source`` imports from other packages with a
+    part that starts with an underscore; relative imports and __future__
+    are exempt."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            paths += [f"{node.module}.{alias.name}" for alias in node.names]
+    return sorted(p for p in paths if any(part.startswith("_") for part in p.split(".")))
+
+
 def test_checker_finds_unused_names():
     source = "import os\nimport scipy.linalg\nfrom math import pi, tau as t\nscipy.linalg.qr(t)\n"
     assert unused_imports(source) == ["os", "pi"]
 
 
+def test_checker_finds_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy.linalg\n"
+        "import os._x as x\n"
+        "from math import _private, pi\n"
+        "from scipy.sparse.linalg._interface import MatrixLinearOperator\n"
+        "from ._local import _helper\n"
+    )
+    assert private_imports(source) == [
+        "math._private",
+        "os._x",
+        "scipy.sparse.linalg._interface.MatrixLinearOperator",
+    ]
+
+
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=[str(p.relative_to(ROOT)) for p in SRC_FILES])
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
