@@ -12,22 +12,21 @@ Three facts drive the whole method, and each is checkable on a small matrix:
 import numpy as np
 
 from lowrank_als import AlsConfig, frobenius_norm, gaussian_matrix, small_svd
-from lowrank_als.als import als_init, als_update_s, als_update_t
+from lowrank_als.als import als_trajectories
 from lowrank_als.verify import lstsq_solve, projector
 
 a = gaussian_matrix(10, 8, seed=3)
 
 # 1. Column spaces: compare orthogonal projectors.
-state = als_init(a, AlsConfig(rank_k=2, iterations_j=3, seed=0))
-reference = state.s.copy()
+trajectory = als_trajectories(a, AlsConfig(rank_k=2, iterations_j=3, seed=0), (0,))
+(start,) = next(trajectory)
+reference = start.s
 aat = a @ a.conj().T
 print("projector distance between col(S_i) and col((A A*)^i S_0):")
-for i in range(1, 4):
-    als_update_t(state)
-    als_update_s(state)
+for i, (factorization,) in enumerate(trajectory, start=1):
     reference = aat @ reference
     reference /= frobenius_norm(reference)
-    dist = frobenius_norm(projector(state.s) - projector(reference))
+    dist = frobenius_norm(projector(factorization.s) - projector(reference))
     print(f"  i={i}: {dist:.2e}")
 
 # 2. The rank chain.

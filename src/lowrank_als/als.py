@@ -142,15 +142,14 @@ def _validate(config: AlsConfig, shape) -> None:
         raise ValueError("iterations_j must be nonnegative")
 
 
-def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
+def als_init(a, config: AlsConfig, seeds) -> AlsState:
     """Draw the orthonormalized random start S_0 for the validated matrix ``a``.
 
     ``a`` is used as given: a 2-d float64/complex128 array, as as_matrix
     returns it.  ``seeds`` are the random starts of a batch, one block of S_0
-    each; when they are given, ``config.seed`` is ignored.  By default the
-    batch is the one start ``config.seed``.  The sketch is one product of A
-    with the seeds' Omegas side by side.  A state of several seeds does not
-    track errors.
+    each; config.seed is not read (als_run's batch is (config.seed,)).  The
+    sketch is one product of A with the seeds' Omegas side by side.  A state
+    of several seeds does not track errors.
 
     S_0 spans col(A @ Omega) with Omega an i.i.d. standard-normal n-by-k
     matrix: the classical randomized range sketch.  An ambient Gaussian S_0
@@ -161,7 +160,7 @@ def als_init(a, config: AlsConfig, seeds=None) -> AlsState:
     cutoff.  Raises ValueError when the sketch is exactly zero.
     """
     _validate(config, a.shape)
-    seeds = (config.seed,) if seeds is None else tuple(seeds)
+    seeds = tuple(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if config.track_errors and len(seeds) > 1:
@@ -221,7 +220,7 @@ def als_trajectories(a, config: AlsConfig, seeds):
     """
     seeds, k = tuple(seeds), config.rank_k
     blocks = [slice(b * k, (b + 1) * k) for b in range(len(seeds))]
-    state = als_init(a, config, seeds=seeds)
+    state = als_init(a, config, seeds)
     for i in range(config.iterations_j + 1):
         if i:
             als_update_s(state)
@@ -288,14 +287,18 @@ def load_factorization(directory) -> Factorization:
 
     Raises ValueError, naming the directory, when the sidecar is not a JSON
     object with integer (not bool) rank_k, iterations_j >= 0 and seed, when
-    its error_trace is neither null nor a list of finite numbers, or when the
-    ranks of S, T and the sidecar disagree.  A missing error_trace reads as
-    None; other keys of the sidecar are ignored.
+    its error_trace is neither null nor a list of 2 * iterations_j + 1 finite
+    numbers (one per half-step), or when the ranks of S, T and the sidecar
+    disagree.  A missing error_trace reads as None; other keys of the sidecar
+    are ignored.
     """
     s = io.load_matrix(os.path.join(directory, "s.alsm"))
     t = io.load_matrix(os.path.join(directory, "t.alsm"))
-    with open(os.path.join(directory, "factorization.json")) as f:
-        meta = json.load(f)
+    try:
+        with open(os.path.join(directory, "factorization.json")) as f:
+            meta = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{directory}: the sidecar is not valid JSON ({exc})") from exc
     keys = ("rank_k", "iterations_j", "seed")
     if not isinstance(meta, dict) or any(type(meta.get(key)) is not int for key in keys):
         raise ValueError(f"{directory}: the sidecar needs integer rank_k, iterations_j and seed")
@@ -307,6 +310,8 @@ def load_factorization(directory) -> Factorization:
         and all(type(x) is int or type(x) is float and math.isfinite(x) for x in trace)
     ):
         raise ValueError(f"{directory}: error_trace is neither null nor a list of finite numbers")
+    if trace is not None and len(trace) != 2 * meta["iterations_j"] + 1:
+        raise ValueError(f"{directory}: error_trace has {len(trace)} entries, not 2 * iterations_j + 1")
     if not s.shape[1] == t.shape[0] == meta["rank_k"]:
         raise ValueError(
             f"{directory}: S is {s.shape}, T is {t.shape} and the sidecar says "

@@ -10,18 +10,19 @@ keeps its seed's factors at its own j.  A cell's t_seconds is its share of
 the batch: the batch's time from the start of its sketch to T_j, divided by
 the number of seeds (matrix generation and error measurement excluded).
 Batching pays most where a product with few columns is slowest, as for
-als-bench --full at k = 2 (figures in als.py).  The cells of one test matrix
-are measured together: after the batch, a single
-power_method_norm(op, minus=...) call estimates all their epsilons with
-shared applies of one operator.  Each estimate differs from a standalone
-measurement of its cell only by rounding.
+als-bench --full at k = 2 (figures in als.py).  After the batch, a single
+power_method_norm(op, minus=...) call estimates the epsilons of all cells of
+the matrix with shared applies of one operator; each differs from a
+standalone measurement of its cell only by rounding.
 ALS runs on the dense A, the rounding of the exact F Sigma G.  Every test
 matrix, of either transform and any shape, is measured in its own
 coordinates (testmat.residual_coordinates), with the dense A released
 first: on the m-by-r residuals Sigma_r - W W[:r]^H Sigma, from the
 protocol's start mapped there, so the 100 iterations read neither A nor F.
-A SuiteConfig is the grid alone; writing records to a file is up
-to the caller (write_csv, write_json).
+A test matrix has one outcome: a record for every cell or, if its build,
+batch or measurement raises, one failure entry {"spec", "error"}.
+A SuiteConfig is the grid alone; writing records to a file is up to the
+caller (write_csv, write_json).
 """
 
 from __future__ import annotations
@@ -59,49 +60,32 @@ class SuiteConfig:
     transform: str = "dft"
 
 
-def _run_matrix(spec: TestMatrixSpec, cells) -> list:
-    """A record, or the exception that stopped it, for each (j, seed) cell of one matrix.
+def _run_matrix(spec: TestMatrixSpec, cells) -> list[ExperimentRecord]:
+    """The records of the (j, seed) cells of one matrix, in cell order; raises what any step raises.
 
-    Builds the dense A of ``spec`` (and raises what the build raises), runs
-    the cells' seeds as one ALS batch on it as built (a finite C-ordered
-    array, so it is not validated again), up to the largest j, and keeps
-    each cell's factors at its own j.  Its t_seconds is the batch's time from
-    the start of the sketch to the moment T_j exists, divided by the number
-    of seeds: a one-seed batch makes the operations of a standalone run of
-    the cell.  A half-step that raises at step i fails the cells with j >= i
-    of every seed.  A is then released, and one power_method_norm call
-    measures every epsilon in residual_coordinates(spec).  If the
-    measurement raises, its exception stands for every cell that reached it.
+    Builds the dense A of ``spec``, runs the cells' seeds as one ALS batch on
+    it as built (a finite C-ordered array, not validated again) up to the
+    largest j, and keeps each cell's factors at its own j.  Its t_seconds is
+    the batch's time from the start of the sketch to T_j, divided by the
+    number of seeds: a one-seed batch makes the operations of a standalone
+    run.  A is then released, and one power_method_norm call measures every
+    epsilon in residual_coordinates(spec).  There is no partial result.
     """
     a = build_test_matrix(spec)
     seeds = tuple(dict.fromkeys(seed for _, seed in cells))
     wanted = {j for j, _ in cells}
-    by_j = {}  # wanted j -> ({seed: factorization}, t_seconds)
-    outcomes: list = [None] * len(cells)
+    runs = {}  # (j, seed) -> (S_j of the seed, t_seconds)
     config = AlsConfig(rank_k=spec.k, iterations_j=max(wanted), seed=seeds[0])
     t0 = time.perf_counter()
-    try:
-        for i, factorizations in enumerate(als_trajectories(a, config, seeds)):
-            t_seconds = (time.perf_counter() - t0) / len(seeds)
-            if i in wanted:
-                by_j[i] = (dict(zip(seeds, factorizations)), t_seconds)
-    except Exception as exc:  # noqa: BLE001 - the caller records or raises it
-        outcomes = [exc] * len(cells)  # the cells of every j not reached
-    # (cell index, factorization, t_seconds) in cell order, the order of the measured pairs
-    runs = [(index, by_j[j][0][seed], by_j[j][1]) for index, (j, seed) in enumerate(cells) if j in by_j]
-    if not runs:
-        return outcomes
+    for i, factorizations in enumerate(als_trajectories(a, config, seeds)):
+        t_seconds = (time.perf_counter() - t0) / len(seeds)
+        if i in wanted:
+            runs.update(((i, f.seed), (f.s, t_seconds)) for f in factorizations)
     del a  # the measurement does not read the dense build
-    try:
-        op, minus, start = residual_coordinates(spec, [f.s for _, f, _ in runs])
-        epsilons = power_method_norm(op, start=start, minus=minus)
-    except Exception as exc:  # noqa: BLE001
-        for index, _, _ in runs:
-            outcomes[index] = exc
-        return outcomes
-    for (index, _, t_seconds), epsilon in zip(runs, epsilons):
-        j, seed = cells[index]
-        outcomes[index] = ExperimentRecord(
+    op, minus, start = residual_coordinates(spec, [runs[cell][0] for cell in cells])
+    epsilons = power_method_norm(op, start=start, minus=minus)
+    return [
+        ExperimentRecord(
             m=spec.m,
             n=spec.n,
             transform=spec.transform,
@@ -110,9 +94,10 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list:
             j=j,
             seed=seed,
             epsilon=epsilon,
-            t_seconds=t_seconds,
+            t_seconds=runs[j, seed][1],
         )
-    return outcomes
+        for (j, seed), epsilon in zip(cells, epsilons)
+    ]
 
 
 def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
@@ -136,9 +121,10 @@ def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
 def run_suite(config: SuiteConfig):
     """Run every (size, (k, delta), j, seed) cell; returns (records, summary).
 
-    The test matrix for a spec is built once; all its cells share it and one
-    epsilon measurement.  Per-cell failures are recorded in the summary and
-    the suite continues; a failed measurement fails every cell it covered.
+    The test matrix for a spec is built once; all its cells share one ALS
+    batch and one epsilon measurement, and they have one outcome: either
+    every cell's record, or one failure entry {"spec", "error"} for the
+    matrix, after which the suite continues with the next matrix.
     """
     specs = _validate_suite(config)
     cells = [(j, seed) for j in config.iteration_counts for seed in config.seeds]
@@ -146,15 +132,9 @@ def run_suite(config: SuiteConfig):
     failures: list[dict] = []
     for spec in specs:
         try:
-            outcomes = _run_matrix(spec, cells)
-        except Exception as exc:  # noqa: BLE001 - a failed build; recorded, suite continues
+            records.extend(_run_matrix(spec, cells))
+        except Exception as exc:  # noqa: BLE001 - a failed matrix; recorded, suite continues
             failures.append({"spec": asdict(spec), "error": str(exc)})
-            continue
-        for (j, seed), outcome in zip(cells, outcomes):
-            if isinstance(outcome, Exception):
-                failures.append({"spec": asdict(spec), "j": j, "seed": seed, "error": str(outcome)})
-            else:
-                records.append(outcome)
     return records, summarize(records, failures)
 
 

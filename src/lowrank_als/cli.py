@@ -1,7 +1,7 @@
 """Command-line benchmark harness.
 
-Exit codes: 0 success, 1 verification failure under --verify, 2 configuration
-error.
+Exit codes: 0 success, 1 verification failure under --verify or a failed
+test matrix, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ def main(argv=None) -> int:
     print()
     print("max epsilon/delta by j:", summary["max_epsilon_over_delta_by_j"])
     if summary["failures"]:
-        print(f"{len(summary['failures'])} cell(s) failed:", file=sys.stderr)
+        print(f"{len(summary['failures'])} test matrix(es) failed:", file=sys.stderr)
         for failure in summary["failures"]:
-            print(f"  {failure}", file=sys.stderr)
+            print(f"  {failure['spec']}: {failure['error']}", file=sys.stderr)
+        return 1
     return 0
 
 

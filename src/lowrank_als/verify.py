@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .als import AlsConfig, als_init, als_update_s, als_update_t
+from .als import AlsConfig, als_trajectories
 from .matrix import frobenius_norm, gaussian_matrix, small_svd
 from .spectral import power_method_norm
 from .testmat import orthonormal_columns
@@ -86,15 +86,14 @@ def check_column_space_theorem():
     for idx in range(INSTANCES):
         a = gaussian_matrix(8, 6, seed=1000 + idx)
         cfg = AlsConfig(rank_k=2, iterations_j=MAX_POWER, seed=idx)
-        state = als_init(a, cfg)
-        reference = state.s.copy()
+        trajectory = als_trajectories(a, cfg, (idx,))
+        (start,) = next(trajectory)
+        reference = start.s
         aat = a @ a.conj().T
-        for _ in range(MAX_POWER):
-            als_update_t(state)
-            als_update_s(state)
+        for (factorization,) in trajectory:
             reference = aat @ reference
             reference = reference / frobenius_norm(reference)
-            dist = frobenius_norm(projector(state.s) - projector(reference))
+            dist = frobenius_norm(projector(factorization.s) - projector(reference))
             worst = max(worst, dist)
     return VerificationResult(
         "column-space theorem",

@@ -30,29 +30,29 @@ class TestConfigValidation:
     def test_rank_too_large(self):
         a = gaussian_matrix(8, 6, seed=0)
         with pytest.raises(ValueError):
-            als_init(a, AlsConfig(rank_k=7, iterations_j=1, seed=0))
+            als_init(a, AlsConfig(rank_k=7, iterations_j=1, seed=0), (0,))
 
     def test_negative_iterations(self):
         a = gaussian_matrix(8, 6, seed=0)
         with pytest.raises(ValueError):
-            als_init(a, AlsConfig(rank_k=2, iterations_j=-1, seed=0))
+            als_init(a, AlsConfig(rank_k=2, iterations_j=-1, seed=0), (0,))
 
 
 class TestInit:
     def test_start_shape_and_rank(self):
         a = gaussian_matrix(8, 6, seed=3)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=1))
+        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=1), (1,))
         assert state.s.shape == (8, 2)
         assert np.linalg.matrix_rank(state.s) == 2
 
     def test_same_seed_same_start(self):
         a = gaussian_matrix(8, 6, seed=3)
         cfg = AlsConfig(rank_k=2, iterations_j=1, seed=5)
-        assert np.array_equal(als_init(a, cfg).s, als_init(a, cfg).s)
+        assert np.array_equal(als_init(a, cfg, (cfg.seed,)).s, als_init(a, cfg, (cfg.seed,)).s)
 
     def test_stabilized_start_is_orthonormal(self):
         a = gaussian_matrix(8, 6, seed=3)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=1))
+        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=1), (1,))
         assert frobenius_norm(state.s.conj().T @ state.s - np.eye(2)) <= 1e-12
 
     @pytest.mark.parametrize("j", [0, 1])
@@ -64,7 +64,7 @@ class TestInit:
 class TestHalfSteps:
     def test_t_update_with_orthonormal_s(self):
         a = gaussian_matrix(6, 4, seed=2)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0))
+        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0), (0,))
         als_update_t(state)
         assert np.allclose(state.t, state.s.conj().T @ a, atol=1e-12)
 
@@ -72,7 +72,7 @@ class TestHalfSteps:
         # The orthonormal S spans col(A T^+), and the tracked residual is the
         # minimizer's, checked against the normal-equations oracle.
         a = gaussian_matrix(6, 4, seed=4)
-        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, track_errors=True))
+        state = als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=0, track_errors=True), (0,))
         als_update_t(state)
         t = state.t
         als_update_s(state)
@@ -110,7 +110,7 @@ class TestRun:
         a = gaussian_matrix(8, 6, seed=4)
         cfg = AlsConfig(rank_k=2, iterations_j=0, seed=5)
         fact = als_run(a, cfg)
-        state = als_init(a, cfg)
+        state = als_init(a, cfg, (cfg.seed,))
         als_update_t(state)
         assert np.array_equal(fact.s, state.s)
         assert np.array_equal(fact.t, state.t)
@@ -208,7 +208,7 @@ class TestRun:
 
 def _half_step_run(a, cfg):
     """(S_j, T_j) and the error trace from the half-steps themselves."""
-    state = als_init(a, cfg)
+    state = als_init(a, cfg, (cfg.seed,))
     for _ in range(cfg.iterations_j):
         als_update_t(state)
         als_update_s(state)
@@ -312,7 +312,7 @@ class TestValidateOnce:
         with pytest.raises(ValueError):
             als_run(a, config)
         with pytest.raises(ValueError):
-            als_init(a, config)
+            als_init(a, config, (config.seed,))
         with pytest.raises(ValueError):
             next(als_trajectories(a, config, (0, 1)))
 
@@ -364,7 +364,7 @@ def _count_norms(monkeypatch):
 def _tracked_half_steps(a, k, j):
     """Each tracked residual next to its dense oracle ||left @ right - a||_F,
     and the final state."""
-    state = als_init(a, AlsConfig(rank_k=k, iterations_j=j, seed=50, track_errors=True))
+    state = als_init(a, AlsConfig(rank_k=k, iterations_j=j, seed=50, track_errors=True), (50,))
     oracles = []
     for i in range(j + 1):
         if i:
@@ -578,6 +578,8 @@ class TestSerialization:
             pytest.param(lambda meta: {**meta, "error_trace": [0.5, True]}, id="trace_bool_entry"),
             pytest.param(lambda meta: {**meta, "error_trace": [0.5, float("nan")]}, id="trace_nan"),
             pytest.param(lambda meta: {**meta, "error_trace": [float("inf")]}, id="trace_inf"),
+            pytest.param(lambda meta: {**meta, "error_trace": [0.5]}, id="trace_too_short"),
+            pytest.param(lambda meta: {**meta, "error_trace": [0.5, 0.4, 0.3, 0.2]}, id="trace_too_long"),
         ],
     )
     def test_inconsistent_sidecar_rejected(self, tmp_path, edit):
@@ -589,6 +591,22 @@ class TestSerialization:
         save_factorization(directory, fact)
         path = directory / "factorization.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(str(directory))):
+            load_factorization(directory)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda text: text[: len(text) // 2].encode(), id="cut_in_half"),
+            pytest.param(lambda text: b"\xff" + text.encode(), id="not_utf8"),
+        ],
+    )
+    def test_undecodable_sidecar_rejected(self, tmp_path, damage):
+        a = gaussian_matrix(8, 6, seed=38)
+        directory = tmp_path / "fact"
+        save_factorization(directory, als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=39)))
+        path = directory / "factorization.json"
+        path.write_bytes(damage(path.read_text()))
         with pytest.raises(ValueError, match=re.escape(str(directory))):
             load_factorization(directory)
 

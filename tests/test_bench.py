@@ -114,18 +114,20 @@ class TestRunSuite:
             want = run_one_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
             assert abs(rec.epsilon - want) <= 1e-12 * want
 
-    def test_failed_als_cell_keeps_matrix_measured(self, monkeypatch):
+    def test_failed_half_step_fails_its_matrix(self, monkeypatch):
         import lowrank_als.als as als
 
+        real_update_s = als.als_update_s
+
         def flaky(state):
-            # The batch's first S-update, so the j = 0 cells of both seeds
-            # are already recorded.
-            raise RuntimeError("boom")
+            if state.a.shape[0] == 48:
+                raise RuntimeError("boom")
+            return real_update_s(state)
 
         monkeypatch.setattr(als, "als_update_s", flaky)
-        records, summary = run_suite(SMALL_SUITE)
-        assert [(r.j, r.seed) for r in records] == [(0, 0), (0, 1)]
-        assert [(f["j"], f["seed"], f["error"]) for f in summary["failures"]] == [(2, 0, "boom"), (2, 1, "boom")]
+        records, summary = run_suite(dataclasses.replace(SMALL_SUITE, sizes=((48, 64), (32, 64))))
+        assert summary["failures"] == [{"spec": dataclasses.asdict(dataclasses.replace(SMALL_SPEC, m=48)), "error": "boom"}]
+        assert [(r.m, r.j, r.seed) for r in records] == [(32, 0, 0), (32, 0, 1), (32, 2, 0), (32, 2, 1)]
         monkeypatch.undo()
         for rec in records:
             want = run_one_cell(SMALL_SPEC, j=rec.j, seed=rec.seed).epsilon
@@ -155,7 +157,7 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="iteration_counts"):
             run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(0, -1)))
 
-    def test_failed_measurement_fails_its_cells(self, monkeypatch):
+    def test_failed_measurement_fails_its_matrix(self, monkeypatch):
         import lowrank_als.bench as bench
 
         def broken(*args, **kwargs):
@@ -164,7 +166,7 @@ class TestRunSuite:
         monkeypatch.setattr(bench, "power_method_norm", broken)
         records, summary = run_suite(SMALL_SUITE)
         assert records == []
-        assert [(f["j"], f["seed"]) for f in summary["failures"]] == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        assert summary["failures"] == [{"spec": dataclasses.asdict(SMALL_SPEC), "error": "no measurement"}]
 
     def test_summary_ratios(self):
         records, summary = run_suite(SMALL_SUITE)

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from lowrank_als import cli
+from lowrank_als import bench, cli
 from lowrank_als.bench import SuiteConfig
 from lowrank_als.cli import main
 
@@ -82,6 +83,25 @@ def test_defaults_are_the_default_suite(monkeypatch):
     monkeypatch.setattr(cli, "run_suite", capture)
     assert main([]) == 0
     assert seen == [SuiteConfig()]
+
+
+def test_failed_test_matrix_exits_1(monkeypatch, capsys):
+    real_build = bench.build_test_matrix
+
+    def flaky(spec):
+        if spec.m == 48:
+            raise RuntimeError("boom")
+        return real_build(spec)
+
+    monkeypatch.setattr(bench, "build_test_matrix", flaky)
+    monkeypatch.setattr(cli, "PAPER_SIZES", ((48, 64), (32, 64)))
+    code = main(["--full", "--k", "2", "--delta", "1e-3", "--iters", "0,1", "--seeds", "1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    spec = bench.TestMatrixSpec(48, 64, 2, 1e-3)
+    assert err.splitlines() == ["1 test matrix(es) failed:", f"  {dataclasses.asdict(spec)}: boom"]
+    assert out.count("(32 x 64, seed 0)") == 2
+    assert "(48 x 64" not in out
 
 
 def test_configuration_error_exit_code():

@@ -46,7 +46,6 @@ PUBLIC_API = [
 # has callers that pass two or more values, or a caller that binds it by name;
 # a setting with one value in use is a module constant instead.
 OPTIONS = [
-    ("als", "als_init", "seeds"),
     ("als", "approximation_error", "norm"),
     ("cli", "main", "argv"),
     ("matrix", "as_matrix", "name"),

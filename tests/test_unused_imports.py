@@ -1,11 +1,15 @@
-"""Every name a module imports is used in that module, and the package
-imports nothing private from another package.
+"""Every name a module imports is used in that module, the package imports
+nothing private from another package, and it catches every exception in one
+place only.
 
 Stdlib-only lints.  The first runs over src/lowrank_als (except __init__.py,
 which imports to re-export) and tests/: an import counts as used when its
 bound name appears as a name anywhere in the file's syntax tree.  The second
 runs over src/lowrank_als: no absolute import names a module or name with a
-dotted-path part that starts with an underscore.
+dotted-path part that starts with an underscore.  The third runs over
+src/lowrank_als: the one broad except clause (no type, or Exception or
+BaseException, alone or in a tuple) is the one in bench.run_suite that
+records a failed test matrix and goes on with the next.
 """
 
 import ast
@@ -17,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC_FILES = sorted((ROOT / "src" / "lowrank_als").glob("*.py"))
 FILES = [p for p in SRC_FILES if p.name != "__init__.py"]
 FILES += sorted((ROOT / "tests").glob("*.py"))
+BROAD_TYPES = {"Exception", "BaseException"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +49,31 @@ def private_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
             paths += [f"{node.module}.{alias.name}" for alias in node.names]
     return sorted(p for p in paths if any(part.startswith("_") for part in p.split(".")))
+
+
+def broad_handlers(source: str) -> list[str]:
+    """The qualified name of the function or class (``<module>`` at top level)
+    around each except clause in ``source`` whose type is omitted, or is
+    Exception or BaseException, alone or in a tuple."""
+    found = []
+
+    def is_broad(handler):
+        if handler.type is None:
+            return True
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(getattr(t, "id", None) in BROAD_TYPES for t in types)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.ExceptHandler) and is_broad(child):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
 
 
 def test_checker_finds_unused_names():
@@ -75,3 +105,24 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SRC_FILES, ids=[str(p.relative_to(ROOT)) for p in SRC_FILES])
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_checker_finds_broad_handlers():
+    source = (
+        "try:\n    pass\nexcept:\n    pass\n"
+        "def f():\n"
+        "    try:\n        pass\n"
+        "    except (ValueError, Exception):\n        pass\n"
+        "    except ValueError:\n        pass\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        try:\n            pass\n"
+        "        except BaseException as exc:\n            raise exc\n"
+        "        except (KeyError, OSError):\n            pass\n"
+    )
+    assert broad_handlers(source) == ["<module>", "f", "C.g"]
+
+
+def test_only_run_suite_catches_everything():
+    found = [f"{path.stem}.{name}" for path in SRC_FILES for name in broad_handlers(path.read_text())]
+    assert found == ["bench.run_suite"]
