@@ -10,7 +10,7 @@ from .als import (
 )
 from .bench import ExperimentRecord, SuiteConfig, run_suite
 from .io import load_matrix, save_matrix
-from .matrix import SvdTriplet, frobenius_norm, gaussian_matrix, small_svd
+from .matrix import SvdTriplet, frobenius_norm, gaussian_matrix
 from .spectral import DEFAULT_POWER_SEED, power_method_norm
 from .svd_convert import factorization_to_svd
 from .testmat import (
@@ -44,5 +44,4 @@ __all__ = [
     "save_factorization",
     "save_matrix",
     "sigma_spectrum",
-    "small_svd",
 ]

@@ -1,14 +1,14 @@
-"""Dense matrix kernels: validation, the product A V, norm, sampling, small
-SVD, orthonormal bases.
+"""Dense matrix kernels: validation, the product A V, norm, sampling,
+orthonormal bases, and the SvdTriplet that factorization_to_svd returns.
 
 as_matrix validates a matrix once, where it enters the package: als_run,
-approximation_error, factorization_to_svd, small_svd and the io readers and
-writers call it.  times and orthonormal_basis take arrays as given, as the
+approximation_error, factorization_to_svd and the io readers and writers
+call it.  times and orthonormal_basis take arrays as given, as the
 ALS iteration hands them over; orthonormal_basis estimates no rank.  All
 routines operate on plain numpy arrays (row-major, float64 or complex128)
 and add only what numpy/scipy lack; callers use numpy/scipy directly for
-the rest (QR, rank, least squares, the adjoint ``x.conj().T`` and the
-product U* A).
+the rest (QR, rank, least squares, singular values, the adjoint
+``x.conj().T`` and the product U* A).
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-# Largest entry count accepted by small_svd (dense decompositions only).
-DENSE_SVD_BUDGET = 4096**2
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate ``a`` as a finite 2-d float64/complex128 array and return it C-ordered."""
@@ -85,15 +81,6 @@ class SvdTriplet:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-
-def small_svd(a) -> SvdTriplet:
-    """Dense SVD with min(p, q) triplets; refuses inputs of more than DENSE_SVD_BUDGET entries."""
-    a = as_matrix(a)
-    if a.size > DENSE_SVD_BUDGET:
-        raise ValueError(f"matrix with {a.size} entries exceeds dense SVD budget {DENSE_SVD_BUDGET}")
-    u, sig, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdTriplet(u, sig, vh.conj().T)
 
 
 def orthonormal_basis(a) -> np.ndarray:

@@ -26,8 +26,7 @@ def factorization_to_svd(s, t) -> SvdTriplet:
     if k > min(s.shape[0], t.shape[1]):
         raise ValueError("inner dimension k must not exceed min(m, n)")
     q, r = np.linalg.qr(s)
-    # r @ t is k-by-n and finite: an SVD of it costs O(n k^2), so the dense
-    # budget of small_svd does not apply.
+    # r @ t is k-by-n and finite: an SVD of it costs O(n k^2).
     inner_u, sigma, inner_vh = np.linalg.svd(r @ t, full_matrices=False)
     u, v = _canonicalize_phases(q @ inner_u, inner_vh.conj().T)
     return SvdTriplet(u, sigma, v)

@@ -1,11 +1,11 @@
 """Independent reference computations used to check the library's fast paths.
 
-Nothing here calls the code paths under test: eigenvalues come from a cyclic
-Jacobi sweep, least-squares solutions from explicitly inverted normal
-equations, the residual A - S T from one matrix-vector product per term, the
-discrete Fourier transform from its entry formula, and the exact residual
-norm of a test matrix from a dense SVD in its own coordinates, with the
-complete transform formed as a dense matrix.  Only the inputs that define a
+Nothing here calls the code paths under test: least-squares solutions come
+from explicitly inverted normal equations, the residual A - S T from one
+matrix-vector product per term, the discrete Fourier transform from its
+entry formula, and the exact residual norm of a test matrix from a dense SVD
+in its own coordinates, with the complete transform formed as a dense
+matrix.  Only the inputs that define a
 test matrix, its spectrum and its seeded Gaussian draws, come from the
 library.
 """
@@ -15,45 +15,6 @@ from scipy.sparse.linalg import LinearOperator
 
 from lowrank_als.matrix import gaussian_matrix
 from lowrank_als.testmat import sigma_spectrum
-
-
-def jacobi_eigenvalues_symmetric(h: np.ndarray, sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(h, dtype=np.float64)
-    n = a.shape[0]
-    assert a.shape == (n, n)
-    assert np.allclose(a, a.T)
-    for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * max(1.0, np.max(np.abs(np.diag(a)))):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))[::-1]
-
-
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix via the real symmetric embedding.
-
-    The 2n-by-2n real matrix [[Re H, -Im H], [Im H, Re H]] has each eigenvalue
-    of H twice; deduplicate by taking every other sorted value.
-    """
-    h = np.asarray(h)
-    if not np.iscomplexobj(h):
-        return jacobi_eigenvalues_symmetric(h)
-    big = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    vals = jacobi_eigenvalues_symmetric(big)
-    return vals[::2]
 
 
 def normal_equations_solve(s: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -11,13 +11,14 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from lowrank_als import verify
-from lowrank_als.als import AlsConfig, als_run
+from lowrank_als.als import AlsConfig, als_run, als_trajectories
 from lowrank_als.bench import SuiteConfig, run_suite
-from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix
 from lowrank_als.spectral import power_method_norm
-from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
+from lowrank_als.testmat import TestMatrixSpec, build_test_matrix, residual_coordinates, sigma_spectrum
 from lowrank_als.verify import (
     check_column_space_theorem,
     check_minimizer_optimality,
@@ -134,8 +135,8 @@ def test_criterion_7_optimality_floor_and_monotonicity():
         slack = 1e-12 * frobenius_norm(a)
         if not all(b <= x + slack for x, b in zip(trace, trace[1:])):
             violations.append(("trace", seed))
-        sigma = small_svd(a).sigma
-        err = small_svd(a - fact.s @ fact.t).sigma[0]
+        sigma = svdvals(a)
+        err = svdvals(a - fact.s @ fact.t)[0]
         floor = sigma[3] - 1e-10 * sigma[0]
         worst_floor = min(worst_floor, err - floor)
         if err < floor:
@@ -171,7 +172,7 @@ def test_criterion_9_spectrum_fidelity():
         for transform in ("dft", "real_orthogonal"):
             spec = TestMatrixSpec(base.m, base.n, base.k, base.delta, transform=transform, seed=1)
             a = build_test_matrix(spec)
-            sig = small_svd(a).sigma
+            sig = svdvals(a)
             worst_sig = max(worst_sig, float(np.max(np.abs(sig - sigma_spectrum(spec)))))
             worst_norm = max(worst_norm, abs(float(sig[0]) - 1.0))
     _report(
@@ -206,3 +207,35 @@ def test_criterion_10_timing_proportionality_report_only():
         f"{[f'{f:.2f}' for f in factors]}, monotone={monotone}, in [1.5, 3.0]={in_band}"
     )
     _report(10, "timing proportionality (report only)", len(medians) == 3, detail)
+
+
+def test_criterion_11_frobenius_near_optimal_desk_scale():
+    # The paper's Frobenius-norm claim, measured exactly: in the test matrix's
+    # coordinates ||A - S S^H A||_F is the Frobenius norm of the m-by-r
+    # Sigma_r - W W[:r]^H Sigma, and the optimum is ||sigma_{k+1:}||_2.
+    # j >= 2 is gated at 5%, the spectral gates' rule; j = 0 and j = 1 are
+    # reported only.
+    worst = defaultdict(float)  # (transform, j) -> largest ratio to the optimum
+    for transform in ("dft", "real_orthogonal"):
+        for k, delta in DESK_SUITE.rank_deltas:
+            spec = TestMatrixSpec(512, 1024, k, delta, transform=transform)
+            a = build_test_matrix(spec)
+            # One batch of the seeds, as als-bench runs them, up to the largest j.
+            config = AlsConfig(rank_k=k, iterations_j=max(DESK_SUITE.iteration_counts), seed=0)
+            cells, blocks = [], []
+            for j, factorizations in enumerate(als_trajectories(a, config, DESK_SUITE.seeds)):
+                if j in DESK_SUITE.iteration_counts:
+                    cells += [j] * len(factorizations)
+                    blocks += [f.s for f in factorizations]
+            sigma, pairs, _ = residual_coordinates(spec, blocks)
+            dense = sigma.toarray()
+            optimum = frobenius_norm(sigma_spectrum(spec)[k:])
+            for j, (w, x) in zip(cells, pairs):
+                worst[transform, j] = max(worst[transform, j], frobenius_norm(dense - w @ x) / optimum)
+    gated = {key: ratio for key, ratio in worst.items() if key[1] >= 2}
+    _report(
+        11,
+        "Frobenius near-optimality, desk scale (j >= 2 gated at 1.05)",
+        len(worst) == 8 and max(gated.values()) <= 1.05,
+        ", ".join(f"{t} j={j}: {ratio:.4f}" for (t, j), ratio in sorted(worst.items())),
+    )

@@ -1,9 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import json
+import types
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.bench import (
@@ -15,7 +18,6 @@ from lowrank_als.bench import (
     write_csv,
     write_json,
 )
-from lowrank_als.matrix import small_svd
 from lowrank_als.spectral import power_method_norm
 from lowrank_als.testmat import TestMatrixSpec, build_test_matrix
 
@@ -174,6 +176,25 @@ class TestRunSuite:
         assert set(ratios) == {"0", "2"}
         assert ratios["2"] < ratios["0"]
 
+    def test_summary_keeps_the_largest_ratio(self):
+        first = ExperimentRecord(32, 64, "dft", 2, 1e-3, 2, 0, 3e-3, 0.01)
+        later = dataclasses.replace(first, seed=1, epsilon=1.5e-3)
+        summary = summarize([first, later], [])
+        assert summary["max_epsilon_over_delta_by_j"] == {"2": 3e-3 / 1e-3}
+        assert summary["n_records"] == 2
+
+    def test_t_seconds_is_the_batch_time_per_seed(self, monkeypatch):
+        import lowrank_als.bench as bench
+
+        # A clock that advances one second per reading: _run_matrix reads it
+        # once before the batch and once after each step, so step j of the
+        # batch ends j + 1 seconds in, shared by the three seeds.
+        clock = itertools.count()
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: float(next(clock))))
+        records, _ = run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(0, 1, 2), seeds=(0, 1, 2)))
+        assert len(records) == 9
+        assert {(r.j, r.t_seconds) for r in records} == {(j, (j + 1) / 3) for j in (0, 1, 2)}
+
 
 OPERATOR_SUITE = SuiteConfig(
     sizes=((512, 1024),),
@@ -204,7 +225,7 @@ def operator_cells(operator_runs):
     cells = []
     for _, a, recs, facts in operator_runs:
         dense = power_method_norm(a, minus=[(f.s, f.t) for f in facts])
-        truths = [small_svd(a - f.s @ f.t).sigma[0] for f in facts]
+        truths = [svdvals(a - f.s @ f.t)[0] for f in facts]
         cells.extend(zip(recs, dense, truths))
     return cells
 
@@ -235,7 +256,7 @@ def tall_exact_cells():
         a = build_test_matrix(spec)
         for rec in (r for r in records if (r.k, r.delta) == (k, delta)):
             f = als_run(a, AlsConfig(rank_k=k, iterations_j=rec.j, seed=rec.seed))
-            truth = small_svd(a - f.s @ (f.s.conj().T @ a)).sigma[0]
+            truth = svdvals(a - f.s @ (f.s.conj().T @ a))[0]
             cells.append((rec, truth, residual_norm(spec, f.s)))
     return cells
 
@@ -357,7 +378,7 @@ def real_cells():
         facts = [als_run(a, AlsConfig(rank_k=k, iterations_j=r.j, seed=r.seed)) for r in recs]
         dense = power_method_norm(a, minus=[(f.s, f.t) for f in facts])
         for rec, want, f in zip(recs, dense, facts):
-            cells.append((rec, want, small_svd(a - f.s @ f.t).sigma[0], residual_norm(spec, f.s)))
+            cells.append((rec, want, svdvals(a - f.s @ f.t)[0], residual_norm(spec, f.s)))
     return cells
 
 
@@ -400,6 +421,15 @@ class TestOutputFormats:
         assert len(rows) == 2
         assert rows[0]["transform"] == "dft"
         assert float(rows[0]["epsilon"]) == 1.05e-3
+
+    def test_csv_round_trips_floats(self, tmp_path):
+        # No default-grid delta tells a rounded float from an exact one.
+        rec = dataclasses.replace(self._records()[0], delta=1 / 3, epsilon=2 / 3)
+        path = tmp_path / "out.csv"
+        write_csv(path, [rec])
+        with open(path) as f:
+            (row,) = csv.DictReader(f)
+        assert (float(row["delta"]), float(row["epsilon"])) == (1 / 3, 2 / 3)
 
     def test_json_mirrors_csv(self, tmp_path):
         path = tmp_path / "out.json"

@@ -39,7 +39,6 @@ PUBLIC_API = [
     "save_factorization",
     "save_matrix",
     "sigma_spectrum",
-    "small_svd",
 ]
 
 # Every (module, function, parameter) in src/lowrank_als with a default.  Each
@@ -53,14 +52,13 @@ OPTIONS = [
     ("spectral", "power_method_norm", "minus"),
     ("spectral", "power_method_norm", "n_iters"),
     ("spectral", "power_method_norm", "start"),
-    ("verify", "lstsq_solve", "rank_deficient_ok"),
-    ("verify", "lstsq_solve_right", "rank_deficient_ok"),
 ]
 
 # Names that served only tests, the theory checks or demos; the two test
 # oracles live in tests/oracles.py, the ALS steps and orthonormal_basis are
-# imported from their modules, the adjoint is numpy's x.conj().T, and the
-# square real_orthogonal_matrix became the thin testmat.orthonormal_columns.
+# imported from their modules, the adjoint is numpy's x.conj().T, the square
+# real_orthogonal_matrix became the thin testmat.orthonormal_columns, and
+# singular values come from scipy.linalg.svdvals.
 REMOVED = [
     "DENSE_SVD_BUDGET",
     "adjoint",
@@ -76,6 +74,7 @@ REMOVED = [
     "run_cell",
     "save_csv",
     "save_svd_triplet",
+    "small_svd",
 ]
 
 

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import svdvals
 
 from lowrank_als.matrix import (
     as_matrix,
     frobenius_norm,
     gaussian_matrix,
     orthonormal_basis,
-    small_svd,
 )
-
-from oracles import hermitian_eigenvalues
 
 
 class TestValidation:
@@ -62,51 +60,6 @@ class TestGaussian:
             gaussian_matrix(2, 2, seed=0, field="quaternion")
 
 
-class TestSmallSvd:
-    def test_diagonal(self):
-        res = small_svd(np.diag([3.0, 1.0]))
-        assert np.allclose(res.sigma, [3.0, 1.0])
-        assert np.allclose(np.abs(res.u), np.eye(2))
-        assert np.allclose(np.abs(res.v), np.eye(2))
-
-    def test_rank_one_outer_product(self):
-        x = np.array([[2.0], [0.0], [0.0]])
-        y = np.array([[0.0], [5.0], [0.0], [0.0]])
-        res = small_svd(x @ y.conj().T)
-        assert abs(res.sigma[0] - 10.0) < 1e-12
-        assert np.all(res.sigma[1:] < 1e-12)
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_against_jacobi_eigen_oracle(self, field):
-        m = gaussian_matrix(4, 3, seed=5, field=field)
-        sigma = small_svd(m).sigma
-        eigs = hermitian_eigenvalues(m.conj().T @ m)
-        assert np.allclose(sigma**2, np.clip(eigs, 0.0, None), atol=1e-10)
-
-    def test_exact_values_for_diagonal(self):
-        d = np.array([0.3, -7.0, 2.0, 0.0])
-        sigma = small_svd(np.diag(d)).sigma
-        assert np.all(np.abs(sigma - np.sort(np.abs(d))[::-1]) <= 1e-14 * np.max(np.abs(d)))
-
-    def test_budget(self, monkeypatch):
-        import lowrank_als.matrix as matrix
-
-        monkeypatch.setattr(matrix, "DENSE_SVD_BUDGET", 99)
-        with pytest.raises(ValueError):
-            small_svd(np.zeros((10, 10)))
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_triplet_invariants(self, field):
-        m = gaussian_matrix(6, 4, seed=8, field=field)
-        res = small_svd(m)
-        assert np.all(np.diff(res.sigma) <= 0)
-        assert np.all(res.sigma >= 0)
-        assert frobenius_norm(res.u.conj().T @ res.u - np.eye(4)) <= 1e-12
-        assert frobenius_norm(res.v.conj().T @ res.v - np.eye(4)) <= 1e-12
-        recon = res.u @ np.diag(res.sigma) @ res.v.conj().T
-        assert frobenius_norm(recon - m) / frobenius_norm(m) <= 1e-11
-
-
 class TestNormsAndAdjoint:
     def test_identity_norm(self):
         assert frobenius_norm(np.eye(4)) == pytest.approx(2.0, abs=1e-15)
@@ -114,7 +67,7 @@ class TestNormsAndAdjoint:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_frobenius_matches_singular_values(self, field):
         m = gaussian_matrix(5, 4, seed=2, field=field)
-        via_svd = np.sqrt(np.sum(small_svd(m).sigma ** 2))
+        via_svd = np.sqrt(np.sum(svdvals(m) ** 2))
         assert abs(frobenius_norm(m) - via_svd) <= 1e-10
 
     def test_large_matrix_agrees_with_fsum(self):

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import svdvals
 from scipy.sparse.linalg import aslinearoperator, svds
 
 from lowrank_als.als import AlsConfig, als_run
-from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix
 from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 
 from oracles import residual_operator
@@ -48,7 +49,7 @@ class TestOperators:
         fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=8))
         op = residual_operator(a, fact.s, fact.t)
         top = svds(op, k=1, return_singular_vectors=False, random_state=0)[0]
-        want = small_svd(a - fact.s @ fact.t).sigma[0]
+        want = svdvals(a - fact.s @ fact.t)[0]
         assert abs(top - want) <= 1e-10 * want
 
 
@@ -57,6 +58,16 @@ class TestPowerMethodNorm:
         est = power_method_norm(np.diag([3.0, 1.0]), n_iters=100, start=gaussian_matrix(2, 1, 0))
         assert abs(est - 3.0) <= 1e-10
 
+    @pytest.mark.parametrize("n_iters", [1, 2, 100])
+    def test_steps_taken(self, n_iters):
+        # On diag(1, rho) from (1, 1), n steps leave v parallel to
+        # (1, rho^(2n)), so the estimate ||A v|| has a closed form.  At
+        # rho = 0.99, one step fewer than 100 moves it by 1.7e-5 relative.
+        rho = 0.99
+        want = np.sqrt((1 + rho ** (4 * n_iters + 2)) / (1 + rho ** (4 * n_iters)))
+        est = power_method_norm(np.diag([1.0, rho]), n_iters=n_iters, start=np.ones(2))
+        assert abs(est - want) <= 1e-13 * want
+
     def test_identity(self):
         est = power_method_norm(np.eye(5), n_iters=100, start=gaussian_matrix(5, 1, 0))
         assert abs(est - 1.0) <= 1e-12
@@ -64,7 +75,7 @@ class TestPowerMethodNorm:
     def test_random_matches_svd(self):
         a = gaussian_matrix(6, 4, seed=8)
         est = power_method_norm(a, n_iters=100, start=gaussian_matrix(4, 1, 1))
-        top = small_svd(a).sigma[0]
+        top = svdvals(a)[0]
         assert abs(est - top) <= 1e-8 * top
 
     def test_zero_operator(self):
@@ -78,7 +89,7 @@ class TestPowerMethodNorm:
     def test_lower_bound(self, seed):
         a = gaussian_matrix(12, 9, seed=300 + seed)
         est = power_method_norm(a, n_iters=30, start=gaussian_matrix(9, 1, seed))
-        top = small_svd(a).sigma[0]
+        top = svdvals(a)[0]
         assert est <= top * (1 + 1e-12)
 
     def test_monotone_in_iterations(self):
@@ -102,7 +113,7 @@ class TestPowerMethodNorm:
     def test_complex_operator(self):
         a = gaussian_matrix(6, 5, seed=10, field="complex")
         est = power_method_norm(a, n_iters=100, start=gaussian_matrix(5, 1, 5, "complex"))
-        top = small_svd(a).sigma[0]
+        top = svdvals(a)[0]
         assert abs(est - top) <= 1e-8 * top
 
     @settings(deadline=None)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
-from lowrank_als import matrix
-from lowrank_als.matrix import frobenius_norm, gaussian_matrix, small_svd
+from lowrank_als.matrix import frobenius_norm, gaussian_matrix
 from lowrank_als.spectral import power_method_norm
 from lowrank_als.svd_convert import factorization_to_svd
 
@@ -31,7 +31,7 @@ def test_matches_direct_svd_of_product(field):
     s = gaussian_matrix(7, 3, seed=21, field=field)
     t = gaussian_matrix(3, 5, seed=22, field=field)
     res = factorization_to_svd(s, t)
-    direct = small_svd(s @ t).sigma[:3]
+    direct = svdvals(s @ t)[:3]
     assert np.allclose(res.sigma, direct, atol=1e-10 * direct[0])
 
 
@@ -77,10 +77,8 @@ def test_incompatible_shapes():
         factorization_to_svd(np.ones((4, 2)), np.ones((3, 5)))
 
 
-def test_product_over_dense_svd_budget(monkeypatch):
-    # The k-by-n product R T is thin; the dense budget of small_svd is for
-    # m-by-n decompositions and must not refuse it.
-    monkeypatch.setattr(matrix, "DENSE_SVD_BUDGET", 100)
+def test_product_over_dense_svd_budget():
+    # A product wider than tall: only the thin k-by-n R T is decomposed.
     s = gaussian_matrix(20, 2, seed=30)
     t = gaussian_matrix(2, 60, seed=31)
     res = factorization_to_svd(s, t)

@@ -3,8 +3,8 @@ nothing private from another package, and it catches every exception in one
 place only.
 
 Stdlib-only lints.  The first runs over src/lowrank_als (except __init__.py,
-which imports to re-export) and tests/: an import counts as used when its
-bound name appears as a name anywhere in the file's syntax tree.  The second
+which imports to re-export), tests/ and demos/: an import counts as used
+when its bound name appears as a name anywhere in the file's syntax tree.  The second
 runs over src/lowrank_als: no absolute import names a module or name with a
 dotted-path part that starts with an underscore.  The third runs over
 src/lowrank_als: the one broad except clause (no type, or Exception or
@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC_FILES = sorted((ROOT / "src" / "lowrank_als").glob("*.py"))
 FILES = [p for p in SRC_FILES if p.name != "__init__.py"]
 FILES += sorted((ROOT / "tests").glob("*.py"))
+FILES += sorted((ROOT / "demos").glob("*.py"))
 BROAD_TYPES = {"Exception", "BaseException"}
 
 

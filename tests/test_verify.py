@@ -1,13 +1,14 @@
 """The verification-only kernels of verify.py: the textbook (never
 re-orthonormalized) ALS half-steps that are the reference for the unrolled
-recurrence, their least-squares solves, and the orthogonal projector."""
+recurrence, their least-squares solves, and the orthogonal projector; and
+that the theory checks fail when what they check is off."""
 
 import numpy as np
 import pytest
 
+from lowrank_als import verify
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix
 from lowrank_als.verify import (
-    RankDeficientError,
     _raw_iterates,
     lstsq_solve,
     lstsq_solve_right,
@@ -74,15 +75,10 @@ class TestLstsq:
         want = normal_equations_solve(s, a)
         assert frobenius_norm(t - want) <= 1e-12 * frobenius_norm(want)
 
-    def test_rank_deficient_raises(self):
-        s = np.ones((4, 2))
-        with pytest.raises(RankDeficientError, match="rank-deficient least-squares operand"):
-            lstsq_solve(s, np.ones((4, 1)))
-
     def test_rank_deficient_fallback_matches_pinv(self):
         s = np.ones((4, 2))
         a = gaussian_matrix(4, 3, seed=12)
-        got = lstsq_solve(s, a, rank_deficient_ok=True)
+        got = lstsq_solve(s, a)
         want = np.linalg.pinv(s) @ a
         assert np.allclose(got, want, atol=1e-12)
 
@@ -132,3 +128,19 @@ class TestProjector:
     def test_trims_to_rank(self):
         # rank(ones) = 1: the projector onto the span of the ones vector.
         assert frobenius_norm(projector(np.ones((5, 3))) - np.full((5, 5), 0.2)) <= 1e-12
+
+
+class TestChecksCanFail:
+    """The theory checks fail when the quantity they check is off."""
+
+    def test_minimizer_check_rejects_an_off_optimum_solve(self, monkeypatch):
+        real = verify.lstsq_solve
+        monkeypatch.setattr(verify, "lstsq_solve", lambda s, a: (1 + 1e-3) * real(s, a))
+        assert not verify.check_minimizer_optimality().passed
+
+    def test_power_method_check_rejects_an_overestimate(self, monkeypatch):
+        real = verify.power_method_norm
+        monkeypatch.setattr(verify, "power_method_norm", lambda a, start: 1.01 * real(a, start=start))
+        res = verify.check_power_method()
+        assert not res.passed
+        assert "upper" in res.detail
