@@ -13,12 +13,7 @@ from .io import load_matrix, save_matrix
 from .matrix import SvdTriplet, frobenius_norm, gaussian_matrix
 from .spectral import DEFAULT_POWER_SEED, power_method_norm
 from .svd_convert import factorization_to_svd
-from .testmat import (
-    MemoryBudgetError,
-    TestMatrixSpec,
-    build_test_matrix,
-    sigma_spectrum,
-)
+from .testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
 
 __version__ = "0.1.0"
 
@@ -27,7 +22,6 @@ __all__ = [
     "DEFAULT_POWER_SEED",
     "ExperimentRecord",
     "Factorization",
-    "MemoryBudgetError",
     "SuiteConfig",
     "SvdTriplet",
     "TestMatrixSpec",

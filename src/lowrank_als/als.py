@@ -257,7 +257,7 @@ def approximation_error(a, factorization: Factorization, norm: str = "spectral")
     over A.
     """
     a = as_matrix(a)
-    s, t = factorization.s, factorization.t
+    s, t = as_matrix(factorization.s, "s"), as_matrix(factorization.t, "t")
     if a.shape != (s.shape[0], t.shape[1]):
         raise ValueError(f"factorization shape {(s.shape[0], t.shape[1])} does not match {a.shape}")
     if norm == "frobenius":

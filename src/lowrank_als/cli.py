@@ -41,15 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="als-bench",
         description="Accuracy/timing benchmark for randomized-start ALS low-rank approximation.",
     )
-    p.add_argument("--m", type=int, default=512, help="matrix rows (desk-scale default 512)")
-    p.add_argument("--n", type=int, default=1024, help="matrix cols (desk-scale default 1024)")
+    p.add_argument("--m", type=int, help="matrix rows (desk-scale default 512)")
+    p.add_argument("--n", type=int, help="matrix cols (desk-scale default 1024)")
     p.add_argument("--k", default="2,10", help="comma list of approximation ranks")
     p.add_argument("--delta", default="1e-3,1e-11", help="comma list of best-possible errors")
     p.add_argument("--iters", default="0,1,2,10", help="comma list of iteration counts j")
     p.add_argument("--seeds", default="5", help="seed count, or explicit comma list of seeds")
     p.add_argument("--transform", choices=("dft", "real"), default="dft")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="write records to this path")
+    p.add_argument("--out", help="write records to this path: JSON if it ends in .json, else CSV")
     p.add_argument("--full", action="store_true", help="run the full-size table suite")
     p.add_argument("--verify", action="store_true", help="run the theory suites and exit")
     return p
@@ -68,7 +67,10 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     try:
-        sizes = PAPER_SIZES if args.full else ((args.m, args.n),)
+        if args.full and (args.m is not None or args.n is not None):
+            raise ValueError("--full runs the paper sizes and takes no --m or --n")
+        desk = (512 if args.m is None else args.m, 1024 if args.n is None else args.n)
+        sizes = PAPER_SIZES if args.full else (desk,)
         ks = _int_list(args.k)
         deltas = _float_list(args.delta)
         config = SuiteConfig(
@@ -82,10 +84,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.out and args.format == "csv":
-        write_csv(args.out, records)
-    elif args.out:
+    if args.out and args.out.lower().endswith(".json"):
         write_json(args.out, records, summary)
+    elif args.out:
+        write_csv(args.out, records)
 
     print(f"{'j':>3} {'k':>3} {'delta':>9} {'epsilon':>11} {'t_seconds':>10}  (m x n)")
     for rec in records:

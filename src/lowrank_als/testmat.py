@@ -25,15 +25,6 @@ from .spectral import DEFAULT_POWER_SEED
 MEMORY_BUDGET = 4 << 30
 
 
-class MemoryBudgetError(ValueError):
-    def __init__(self, required: int, budget: int):
-        self.required_bytes = required
-        self.budget_bytes = budget
-        super().__init__(
-            f"test matrix needs ~{required} bytes, over the budget of {budget} bytes"
-        )
-
-
 @dataclass(frozen=True)
 class TestMatrixSpec:
     __test__ = False  # not a pytest class, despite the name
@@ -75,8 +66,27 @@ def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:
 
 
 def orthonormal_columns(n: int, r: int, seed: int) -> np.ndarray:
-    """n-by-r orthonormal columns (r <= n): the Q of a QR of a seeded real Gaussian."""
-    return np.linalg.qr(gaussian_matrix(n, r, seed, "real"))[0]
+    """n-by-r orthonormal columns (r <= n): the Q of a QR of a seeded real Gaussian,
+    by the LAPACK geqrf whose reflectors residual_coordinates applies."""
+    return qr(gaussian_matrix(n, r, seed, "real"), mode="economic")[0]
+
+
+def _working_set_bytes(spec: TestMatrixSpec) -> int:
+    """The bytes build_test_matrix(spec) holds at its peak, counted in array entries."""
+    m, n = spec.m, spec.n
+    r = min(m, n)
+    if spec.transform == "dft":
+        # The real sigma, [h, h] and the m-by-n result; the L-entry
+        # temporaries of h are freed before the result exists.
+        return r * 8 + (2 * math.lcm(m, n) + m * n) * 16
+    # F_r, Sigma G_r and the result, plus four max(m, n)-by-r arrays.  While
+    # a QR runs, its Gaussian stands in for F_r or Sigma G_r, and two of the
+    # four are geqrf's Fortran-ordered copy (orgqr turns it into Q in place)
+    # and the r-by-r R; in the product they cover G_r.  The other two cover
+    # freed arrays that malloc keeps resident once a large free has raised
+    # its mmap threshold: with two, a 1500x1500 build's peak RSS outgrew the
+    # estimate (97.8 against 85.8 MiB).
+    return (m * r + r * n + m * n + 4 * max(m, n) * r) * 8
 
 
 def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
@@ -91,25 +101,16 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
     columns from seeds seed and seed + 1; a seed gives the same matrix within
     one version of the package, not across versions.  Singular values of the
     result equal sigma_spectrum(spec) by unitary invariance.  A working set
-    over MEMORY_BUDGET raises MemoryBudgetError before anything is built.
+    over MEMORY_BUDGET raises ValueError before anything is built.
     """
+    required = _working_set_bytes(spec)
+    if required > MEMORY_BUDGET:
+        raise ValueError(f"test matrix needs ~{required} bytes, over the budget of {MEMORY_BUDGET} bytes")
     m, n = spec.m, spec.n
     r = min(m, n)
-    if spec.transform == "dft":
-        period = math.lcm(m, n)  # L
-        # The working set: the real sigma, [h, h] and the m-by-n result; the
-        # L-entry temporaries of h are freed before the result exists.
-        required = r * 8 + (2 * period + m * n) * 16
-    else:
-        # F_r, Sigma G_r and the result, plus four max(m, n)-by-r arrays.
-        # While a QR runs, its Gaussian stands in for F_r or Sigma G_r and
-        # the four are its copy, Q and LAPACK's two work copies; in the
-        # product they cover G_r.
-        required = (m * r + r * n + m * n + 4 * max(m, n) * r) * 8
-    if required > MEMORY_BUDGET:
-        raise MemoryBudgetError(required, MEMORY_BUDGET)
     sig = sigma_spectrum(spec)
     if spec.transform == "dft":
+        period = math.lcm(m, n)  # L
         hh = np.tile(np.fft.fft(sig, n=period) / math.sqrt(m * n), 2)
         # Row p starts at p L/m < L and steps by L/n, so it ends before 2 L.
         strides = ((period // m) * hh.itemsize, (period // n) * hh.itemsize)

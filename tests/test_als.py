@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -338,6 +339,16 @@ class TestApproximationError:
         fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=25))
         with pytest.raises(ValueError):
             approximation_error(a, fact, "nuclear")
+
+    @pytest.mark.parametrize("norm, factor", [("spectral", "s"), ("frobenius", "t")])
+    def test_non_finite_factor_rejected(self, norm, factor):
+        # A NaN in S or T would otherwise come back as a nan error.
+        a = gaussian_matrix(8, 6, seed=26)
+        fact = als_run(a, AlsConfig(rank_k=2, iterations_j=1, seed=27))
+        bad = getattr(fact, factor).copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{factor} contains non-finite entries"):
+            approximation_error(a, dataclasses.replace(fact, **{factor: bad}), norm)
 
 
 # Shapes whose residuals take several row blocks of BLOCK_BYTES, the last one

@@ -33,12 +33,29 @@ def test_json_output(tmp_path):
             "--m", "32", "--n", "64",
             "--k", "2", "--delta", "1e-3",
             "--iters", "1", "--seeds", "1",
-            "--format", "json", "--out", str(out),
+            "--out", str(out),
         ]
     )
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["records"]) == 1
+
+
+def test_out_suffix_picks_the_format(tmp_path):
+    # JSON for a .json suffix in any case, CSV for any other path.
+    grid = ["--m", "32", "--n", "64", "--k", "2", "--delta", "1e-3", "--iters", "1", "--seeds", "1"]
+    assert main([*grid, "--out", str(tmp_path / "records.JSON")]) == 0
+    assert len(json.loads((tmp_path / "records.JSON").read_text())["records"]) == 1
+    assert main([*grid, "--out", str(tmp_path / "records.txt")]) == 0
+    rows = list(csv.DictReader((tmp_path / "records.txt").read_text().splitlines()))
+    assert len(rows) == 1
+
+
+def test_flags():
+    flags = {flag for action in cli.build_parser()._actions for flag in action.option_strings}
+    assert flags - {"-h", "--help"} == {
+        "--m", "--n", "--k", "--delta", "--iters", "--seeds", "--transform", "--out", "--full", "--verify",
+    }
 
 
 def test_explicit_seed_list(tmp_path):
@@ -102,6 +119,14 @@ def test_failed_test_matrix_exits_1(monkeypatch, capsys):
     assert err.splitlines() == ["1 test matrix(es) failed:", f"  {dataclasses.asdict(spec)}: boom"]
     assert out.count("(32 x 64, seed 0)") == 2
     assert "(48 x 64" not in out
+
+
+@pytest.mark.parametrize("size", [["--m", "64"], ["--n", "128"], ["--m", "64", "--n", "128"]])
+def test_full_refuses_a_size(size, monkeypatch, capsys):
+    # --full runs PAPER_SIZES; a size given with it would be dropped silently.
+    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("ran a suite"))
+    assert main(["--full", *size]) == 2
+    assert "--full runs the paper sizes and takes no --m or --n" in capsys.readouterr().err
 
 
 def test_configuration_error_exit_code():

@@ -18,8 +18,8 @@ from lowrank_als.matrix import frobenius_norm, gaussian_matrix
 from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 from lowrank_als.testmat import (
     MEMORY_BUDGET,
-    MemoryBudgetError,
     TestMatrixSpec,
+    _working_set_bytes,
     build_test_matrix,
     orthonormal_columns,
     residual_coordinates,
@@ -166,9 +166,25 @@ class TestBuildTestMatrix:
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setattr(testmat, "MEMORY_BUDGET", 1000)
         spec = TestMatrixSpec(64, 64, 2, 1e-3)
-        with pytest.raises(MemoryBudgetError) as err:
+        required = _working_set_bytes(spec)
+        assert required > 1000
+        with pytest.raises(ValueError, match=f"needs ~{required} bytes, over the budget of 1000 bytes"):
             build_test_matrix(spec)
-        assert err.value.required_bytes > 1000
+
+    @pytest.mark.parametrize("transform", ["dft", "real_orthogonal"])
+    def test_over_budget_build_allocates_nothing(self, transform, monkeypatch):
+        # The budget is checked before the first array of the build, even
+        # the 16 KiB spectrum, exists.
+        spec = TestMatrixSpec(4096, 2048, 2, 1e-3, transform=transform)
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", _working_set_bytes(spec) - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the budget"):
+                build_test_matrix(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < min(spec.m, spec.n) * 8
 
     @pytest.mark.parametrize("shape", [(32, 64), (7, 11), (45, 30)])
     def test_dft_memory_bound_is_exact(self, shape, monkeypatch):
@@ -177,41 +193,56 @@ class TestBuildTestMatrix:
         spec = TestMatrixSpec(m, n, 2, 1e-3)
         required = min(m, n) * 8 + (2 * math.lcm(m, n) + m * n) * 16
         monkeypatch.setattr(testmat, "MEMORY_BUDGET", required - 1)
-        with pytest.raises(MemoryBudgetError) as err:
+        with pytest.raises(ValueError, match="over the budget"):
             build_test_matrix(spec)
-        assert err.value.required_bytes == required
+        assert _working_set_bytes(spec) == required
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", required)
+        assert build_test_matrix(spec).shape == shape
+
+    @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (40, 40)])
+    def test_real_memory_bound_is_exact(self, shape, monkeypatch):
+        # F_r, Sigma G_r, the m-by-n result and four max(m, n)-by-r arrays:
+        # the QR's copy and R, and the freed arrays malloc keeps resident,
+        # which the peak-RSS test below needs at 1500x1500.
+        m, n = shape
+        r = min(m, n)
+        spec = TestMatrixSpec(m, n, 2, 1e-3, transform="real_orthogonal")
+        required = (m * r + r * n + m * n + 4 * max(m, n) * r) * 8
+        assert _working_set_bytes(spec) == required
+        monkeypatch.setattr(testmat, "MEMORY_BUDGET", required - 1)
+        with pytest.raises(ValueError, match="over the budget"):
+            build_test_matrix(spec)
         monkeypatch.setattr(testmat, "MEMORY_BUDGET", required)
         assert build_test_matrix(spec).shape == shape
 
     @pytest.mark.parametrize("shape", [(512, 64), (64, 512), (300, 500), (256, 256)])
-    def test_real_memory_estimate_covers_traced_peak(self, shape, monkeypatch):
+    def test_real_memory_estimate_covers_traced_peak(self, shape):
         spec = TestMatrixSpec(*shape, 2, 1e-3, transform="real_orthogonal")
-        monkeypatch.setattr(testmat, "MEMORY_BUDGET", 0)
-        with pytest.raises(MemoryBudgetError) as err:
-            build_test_matrix(spec)
-        monkeypatch.undo()
         tracemalloc.start()
         try:
             build_test_matrix(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert err.value.required_bytes >= peak
+        assert _working_set_bytes(spec) >= peak
+        # The arrays themselves fit two of the four max(m, n)-by-r terms: a
+        # QR holds its Gaussian, one copy and R (numpy's QR, more).
+        assert _working_set_bytes(spec) - 2 * max(shape) * min(shape) * 8 >= peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     @pytest.mark.parametrize("shape", [(3000, 800), (800, 3000), (1500, 1500)])
     def test_real_memory_estimate_covers_peak_rss(self, shape):
-        # tracemalloc does not see LAPACK's work copies; a process's peak
-        # resident set does.  A process started from this one inherits its
-        # peak, so the build runs in a child forked after a warm-up build,
-        # whose peak starts at its parent's current resident set.  Resident
-        # arrays round up to whole (possibly 2 MiB huge) pages, which the
-        # estimate leaves out; at these shapes its m n entries of slack in
-        # each phase cover that.
+        # tracemalloc does not see LAPACK's work space or the freed arrays
+        # malloc keeps resident; a process's peak resident set does.  A
+        # process started from this one inherits its peak, so the build runs
+        # in a child forked after a warm-up build, whose peak starts at its
+        # parent's current resident set.  Resident arrays also round up to
+        # whole (possibly 2 MiB huge) pages; at these shapes the estimate's
+        # two spare max(m, n)-by-r terms and its m n entries of slack in each
+        # phase cover that.
         script = f"""
 import os, resource
-from lowrank_als import testmat
-from lowrank_als.testmat import MemoryBudgetError, TestMatrixSpec, build_test_matrix
+from lowrank_als.testmat import TestMatrixSpec, _working_set_bytes, build_test_matrix
 spec = TestMatrixSpec({shape[0]}, {shape[1]}, 2, 1e-3, transform="real_orthogonal")
 build_test_matrix(TestMatrixSpec(300, 200, 2, 1e-3, transform="real_orthogonal"))
 pid = os.fork()
@@ -222,11 +253,7 @@ if pid == 0:
     print((after - before) * 1024, flush=True)
     os._exit(0)
 assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-testmat.MEMORY_BUDGET = 0
-try:
-    build_test_matrix(spec)
-except MemoryBudgetError as err:
-    print(err.required_bytes)
+print(_working_set_bytes(spec))
 """
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(
@@ -236,23 +263,15 @@ except MemoryBudgetError as err:
         grown, required = map(int, proc.stdout.split())
         assert 0 < grown <= required
 
-    def test_thin_real_spec_fits_default_budget(self, monkeypatch):
-        # A 32 MB result from 100 columns of a 40000-point draw; a zero
-        # budget reports the estimate without building anything.
-        monkeypatch.setattr(testmat, "MEMORY_BUDGET", 0)
-        with pytest.raises(MemoryBudgetError) as err:
-            build_test_matrix(TestMatrixSpec(40000, 100, 2, 1e-3, transform="real_orthogonal"))
-        assert err.value.required_bytes <= MEMORY_BUDGET
+    def test_thin_real_spec_fits_default_budget(self):
+        # A 32 MB result from 100 columns of a 40000-point draw.
+        assert _working_set_bytes(TestMatrixSpec(40000, 100, 2, 1e-3, transform="real_orthogonal")) <= MEMORY_BUDGET
 
-    def test_paper_sizes_fit_default_budget(self, monkeypatch):
-        # The sizes of als-bench --full, with either transform; a zero budget
-        # reports the estimate without building anything.
-        monkeypatch.setattr(testmat, "MEMORY_BUDGET", 0)
+    def test_paper_sizes_fit_default_budget(self):
+        # The sizes of als-bench --full, with either transform.
         for m, n in PAPER_SIZES:
             for transform in ("dft", "real_orthogonal"):
-                with pytest.raises(MemoryBudgetError) as err:
-                    build_test_matrix(TestMatrixSpec(m, n, 10, 1e-3, transform=transform))
-                assert err.value.required_bytes <= MEMORY_BUDGET
+                assert _working_set_bytes(TestMatrixSpec(m, n, 10, 1e-3, transform=transform)) <= MEMORY_BUDGET
 
 
 def _orthonormal_blocks(spec, widths, seed):
