@@ -43,14 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, help="matrix rows (desk-scale default 512)")
     p.add_argument("--n", type=int, help="matrix cols (desk-scale default 1024)")
-    p.add_argument("--k", default="2,10", help="comma list of approximation ranks")
-    p.add_argument("--delta", default="1e-3,1e-11", help="comma list of best-possible errors")
-    p.add_argument("--iters", default="0,1,2,10", help="comma list of iteration counts j")
-    p.add_argument("--seeds", default="5", help="seed count, or explicit comma list of seeds")
-    p.add_argument("--transform", choices=("dft", "real"), default="dft")
+    p.add_argument("--k", help="comma list of approximation ranks (default 2,10)")
+    p.add_argument("--delta", help="comma list of best-possible errors (default 1e-3,1e-11)")
+    p.add_argument("--iters", help="comma list of iteration counts j (default 0,1,2,10)")
+    p.add_argument("--seeds", help="seed count, or explicit comma list of seeds (default 5)")
+    p.add_argument("--transform", choices=("dft", "real"), help="test-matrix family (default dft)")
     p.add_argument("--out", help="write records to this path: JSON if it ends in .json, else CSV")
-    p.add_argument("--full", action="store_true", help="run the full-size table suite")
-    p.add_argument("--verify", action="store_true", help="run the theory suites and exit")
+    p.add_argument("--full", action="store_true", default=None, help="run the full-size table suite")
+    p.add_argument("--verify", action="store_true", help="run only the theory suites; takes no other option")
     return p
 
 
@@ -58,26 +58,28 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.verify:
+        # Every other option defaults to None, so a given one shows.
+        given = [f"--{name}" for name, value in vars(args).items() if name != "verify" and value is not None]
+        if given:
+            print(f"configuration error: --verify takes no {' or '.join(given)}", file=sys.stderr)
+            return 2
         results = run_all()
-        ok = True
         for res in results:
-            status = "PASS" if res.passed else "FAIL"
-            print(f"[{status}] {res.name}: {res.detail}")
-            ok = ok and res.passed
-        return 0 if ok else 1
+            print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+        return 0 if all(res.passed for res in results) else 1
 
     try:
         if args.full and (args.m is not None or args.n is not None):
             raise ValueError("--full runs the paper sizes and takes no --m or --n")
         desk = (512 if args.m is None else args.m, 1024 if args.n is None else args.n)
         sizes = PAPER_SIZES if args.full else (desk,)
-        ks = _int_list(args.k)
-        deltas = _float_list(args.delta)
+        ks = _int_list("2,10" if args.k is None else args.k)
+        deltas = _float_list("1e-3,1e-11" if args.delta is None else args.delta)
         config = SuiteConfig(
             sizes=tuple(sizes),
             rank_deltas=tuple((k, d) for d in deltas for k in ks),
-            iteration_counts=tuple(_int_list(args.iters)),
-            seeds=tuple(_parse_seeds(args.seeds)),
+            iteration_counts=tuple(_int_list("0,1,2,10" if args.iters is None else args.iters)),
+            seeds=tuple(_parse_seeds("5" if args.seeds is None else args.seeds)),
             transform="real_orthogonal" if args.transform == "real" else "dft",
         )
         records, summary = run_suite(config)

@@ -10,25 +10,11 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 from scipy.sparse.linalg import aslinearoperator
 
-from .matrix import frobenius_norm, gaussian_matrix, times
+from .matrix import frobenius_norm, gaussian_matrix
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
 # factorization seed; pass another start vector per call when needed.
 DEFAULT_POWER_SEED = 0x9E3779B9
-
-
-def _column_norms(x: np.ndarray) -> np.ndarray:
-    # BLAS nrm2 per column, the routine frobenius_norm calls, looked up once
-    # and given contiguous columns: np.linalg.norm(axis=0) squares the entries.
-    nrm2 = get_blas_funcs("nrm2", dtype=x.dtype, ilp64="preferred")
-    return np.array([nrm2(column) for column in np.ascontiguousarray(x.T)])
-
-
-def _normalize_columns(x: np.ndarray) -> np.ndarray:
-    # A column annihilated by the operator stays exactly zero, so its final
-    # estimate is 0 and the other columns are unaffected.
-    norms = _column_norms(x)
-    return x / np.where(norms > 0.0, norms, 1.0)
 
 
 def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
@@ -48,31 +34,32 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     With ``minus=((s1, t1), (s2, t2), ...)`` it returns a list: the estimate
     of ||op - s_i t_i|| for each pair, in order.  Every s_i is m-by-k and
     every t_i k-by-n, with one k for all pairs (``ValueError`` otherwise).
-    All pairs share one block power iteration whose column i runs the steps
+    All pairs share one block power iteration whose row i runs the steps
     above on op - s_i t_i from the same start vector, so each apply makes
     one pass over ``op`` for every pair.  Entry i equals the estimate of a
-    standalone call on the operator op - s_i t_i in exact arithmetic and
-    differs from it only by rounding, because a matrix-matrix product sums
-    in another order than a matrix-vector one.
-    A 2-d numpy array ``op`` is applied as matrix.times(A, V) and (U* A)*,
-    never as a conjugated copy.  Anything else aslinearoperator accepts, such
-    as a scipy sparse array or a LinearOperator, is applied by its matmat and
-    rmatmat; for aslinearoperator(A) of a dense complex A, scipy's adjoint
-    keeps a conjugated copy of A, so pass the array itself.
+    standalone call on op - s_i t_i in exact arithmetic and differs from it
+    only by rounding: a matrix-matrix product sums in another order than a
+    matrix-vector one.
+
+    The iterates are the rows of one C-ordered block.  A 2-d numpy array A
+    is applied as V A^T and (U* A)*, which multiply the block into A as
+    stored.  Anything else aslinearoperator accepts, such as a scipy sparse
+    array or a LinearOperator, is applied by its matmat and rmatmat on the
+    transposed block; scipy's adjoint of aslinearoperator(A) keeps a
+    conjugated copy of a dense complex A, so pass the array itself.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    if isinstance(op, np.ndarray) and op.ndim == 2:
-        # Both applies multiply a block of rows into A as stored.
-        def forward(v):
-            return times(op, v)
-
-        def backward(u):
-            return (u.conj().T @ op).conj().T
-
-    else:
+    dense = isinstance(op, np.ndarray) and op.ndim == 2
+    if not dense:
         op = aslinearoperator(op)
-        forward, backward = op.matmat, op.rmatmat
+
+    def forward(v):
+        return v @ op.T if dense else op.matmat(v.T).T
+
+    def backward(u):
+        return (u.conj() @ op).conj() if dense else op.rmatmat(u.T).T
+
     m, n = op.shape
     pairs = [(np.asarray(s), np.asarray(t)) for s, t in minus]
     for s, t in pairs:
@@ -91,11 +78,11 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         t_stack = np.array([t for _, t in pairs], dtype)
 
         def apply(v):
-            return forward(v) - (s_stack @ (t_stack @ v.T[:, :, None]))[:, :, 0].T
+            return forward(v) - (s_stack @ (t_stack @ v[:, :, None]))[:, :, 0]
 
         def apply_adjoint(u):
             # (u^H S) T = (T^H S^H u)^H, so no conjugated copy of a stack is kept.
-            return backward(u) - ((u.conj().T[:, None, :] @ s_stack) @ t_stack)[:, 0, :].conj().T
+            return backward(u) - ((u.conj()[:, None, :] @ s_stack) @ t_stack)[:, 0, :].conj()
 
     else:
         c, apply, apply_adjoint = 1, forward, backward
@@ -112,8 +99,21 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
             raise ValueError("start contains non-finite entries")
         if not np.any(v):
             raise ValueError("start is zero")
-    v = np.repeat(v / frobenius_norm(v), c, axis=1)
+    v = np.repeat((v / frobenius_norm(v)).reshape(1, n), c, axis=0)
+    # BLAS nrm2, as in frobenius_norm: np.linalg.norm(axis=1) squares the entries.
+    nrm2 = get_blas_funcs("nrm2", dtype=np.result_type(dtype, v), ilp64="preferred")
+
+    def normalize(x):
+        # A row the operator annihilates stays exactly zero (its norm taken
+        # as 1), so its final estimate is 0 and the other rows are unaffected.
+        norms = np.array([nrm2(row) or 1.0 for row in x])[:, None]
+        # numpy divides a complex x by a real d as by d + 0j, which its
+        # complex division reduces to re * (1 / d) and im * (1 / d): the same
+        # bits, up to the sign of a zero, in under half the time.  A real
+        # x * (1 / d) would round twice, so real rows are divided.
+        return x * (1.0 / norms) if np.iscomplexobj(x) else x / norms
+
     for _ in range(n_iters):
-        v = _normalize_columns(apply_adjoint(_normalize_columns(apply(v))))
-    estimates = [float(x) for x in _column_norms(apply(v))]
+        v = normalize(apply_adjoint(normalize(apply(v))))
+    estimates = [float(nrm2(row)) for row in apply(v)]
     return estimates if pairs else estimates[0]

@@ -149,3 +149,17 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "options", [["--full"], ["--out", "v.json"], ["--k", "4"], ["--m", "0"]], ids=["full", "out", "k", "m_zero"]
+)
+def test_verify_refuses_other_options(options, tmp_path, monkeypatch, capsys):
+    # --verify runs only the theory checks; a grid option or --out given
+    # with it would be dropped silently.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_all", lambda: pytest.fail("ran the checks"))
+    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("ran a suite"))
+    assert main(["--verify", *options]) == 2
+    assert f"configuration error: --verify takes no {options[0]}\n" == capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -4,7 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import aslinearoperator, svds
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, svds
 
 from lowrank_als.als import AlsConfig, als_run
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix
@@ -67,6 +67,21 @@ class TestPowerMethodNorm:
         want = np.sqrt((1 + rho ** (4 * n_iters + 2)) / (1 + rho ** (4 * n_iters)))
         est = power_method_norm(np.diag([1.0, rho]), n_iters=n_iters, start=np.ones(2))
         assert abs(est - want) <= 1e-13 * want
+
+    def test_real_rows_are_divided(self):
+        # From e_1 every iterate of diag(49, 1/2) is a multiple of e_1, which
+        # a correctly rounded x / ||x|| maps to e_1 exactly; 49 * (1 / 49) is
+        # not 1, so a real row multiplied by its reciprocal norm shows here.
+        a = np.diag([49.0, 0.5])
+        seen = []
+
+        def record(x):
+            seen.append(x.copy())
+            return a @ x
+
+        op = LinearOperator(a.shape, matvec=record, rmatvec=record, matmat=record, rmatmat=record, dtype=float)
+        assert power_method_norm(op, n_iters=3, start=np.array([1.0, 0.0])) == 49.0
+        assert len(seen) == 7 and all(np.array_equal(x, [[1.0], [0.0]]) for x in seen)
 
     def test_identity(self):
         est = power_method_norm(np.eye(5), n_iters=100, start=gaussian_matrix(5, 1, 0))
@@ -134,6 +149,24 @@ class TestPowerMethodNorm:
         assert abs(power_method_norm(c * a, n_iters=20, start=v) / c - want) <= 1e-10 * want
 
 
+class TestComplexNormalization:
+    """The power method multiplies complex rows by 1 / norm in place of
+    dividing them by norm; numpy's complex division by a real d + 0j makes
+    exactly that product, so the estimates keep their bits.  A numpy whose
+    complex division changes fails here instead of moving every epsilon."""
+
+    @pytest.mark.parametrize("relative_scale", [1e-6, 1.0, 1e6])
+    def test_reciprocal_product_equals_quotient(self, relative_scale):
+        # Rows of about the size of their norms, as the iterates are, and
+        # the guard value 1.0 taken for a zero row.
+        norms = np.concatenate([np.logspace(-300, 300, 121), 2.0 ** np.arange(-996, 997, 83), [1.0]])
+        x = gaussian_matrix(norms.size, 64, seed=60, field="complex") * (relative_scale * norms[:, None])
+        x[:, :2] = [0.0, -0.0]  # a real entry and a signed zero
+        quotient = x / norms[:, None]
+        assert np.all(np.isfinite(quotient)) and np.all(quotient[:, 2:] != 0.0)
+        assert np.array_equal(x * (1.0 / norms[:, None]), quotient)
+
+
 class TestStart:
     """power_method_norm(op, start=v): the start vector, validated."""
 
@@ -151,6 +184,13 @@ class TestStart:
         a = gaussian_matrix(7, 5, seed=44)
         v = gaussian_matrix(5, 1, seed=45)
         assert power_method_norm(a, start=v[:, 0]) == power_method_norm(a, start=v)
+
+    def test_complex_start_on_real_operator(self):
+        # The iterates are complex, so their norms count the imaginary parts:
+        # from i v they are i times the iterates from v.
+        a = gaussian_matrix(7, 5, seed=51)
+        v = gaussian_matrix(5, 1, seed=52)
+        assert power_method_norm(a, start=1j * v) == pytest.approx(power_method_norm(a, start=v), rel=1e-12)
 
     def test_start_scale_is_irrelevant(self):
         a = gaussian_matrix(7, 5, seed=46)

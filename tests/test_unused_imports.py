@@ -1,15 +1,19 @@
-"""Every name a module imports is used in that module, the package imports
-nothing private from another package, and it catches every exception in one
-place only.
+"""Every name a module imports is used in that module, every private helper
+of the package is used, the package imports nothing private from another
+package, and it catches every exception in one place only.
 
 Stdlib-only lints.  The first runs over src/lowrank_als (except __init__.py,
 which imports to re-export), tests/ and demos/: an import counts as used
-when its bound name appears as a name anywhere in the file's syntax tree.  The second
-runs over src/lowrank_als: no absolute import names a module or name with a
-dotted-path part that starts with an underscore.  The third runs over
-src/lowrank_als: the one broad except clause (no type, or Exception or
-BaseException, alone or in a tuple) is the one in bench.run_suite that
-records a failed test matrix and goes on with the next.
+when its bound name appears as a name anywhere in the file's syntax tree.  The
+second runs over src/lowrank_als: each module-level function or class whose
+name starts with an underscore is used when its name appears as a name or an
+attribute somewhere in the package outside its own definition; a use in
+tests/ does not count.  The third runs over src/lowrank_als: no absolute
+import names a module or name with a dotted-path part that starts with an
+underscore.  The fourth runs over src/lowrank_als: the one broad except
+clause (no type, or Exception or BaseException, alone or in a tuple) is the
+one in bench.run_suite that records a failed test matrix and goes on with
+the next.
 """
 
 import ast
@@ -37,6 +41,25 @@ def unused_imports(source: str) -> list[str]:
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level function or class with a private
+    name in ``sources`` (module name -> source) whose name no other top-level
+    statement of any of the sources reads as a name or an attribute."""
+    statements = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
+    reads = [
+        {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        for _, stmt in statements
+    ]
+    dead = []
+    for i, (module, stmt) in enumerate(statements):
+        defines = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if defines and stmt.name.startswith("_") and not stmt.name.endswith("__"):
+            if not any(stmt.name in names for j, names in enumerate(reads) if j != i):
+                dead.append(f"{module}.{stmt.name}")
+    return dead
 
 
 def private_imports(source: str) -> list[str]:
@@ -96,6 +119,18 @@ def test_checker_finds_private_imports():
         "os._x",
         "scipy.sparse.linalg._interface.MatrixLinearOperator",
     ]
+
+
+def test_checker_finds_dead_helpers():
+    sources = {
+        "a": "def _used():\n    return _used()\n\ndef _dead():\n    return _dead()\n\nclass _Dead:\n    pass\n",
+        "b": "from . import a\n\ndef public():\n    return a._used()\n\ndef __getattr__(name):\n    pass\n",
+    }
+    assert dead_helpers(sources) == ["a._dead", "a._Dead"]
+
+
+def test_no_dead_helpers():
+    assert dead_helpers({path.stem: path.read_text() for path in SRC_FILES}) == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
