@@ -101,16 +101,16 @@ def _run_matrix(spec: TestMatrixSpec, cells) -> list[ExperimentRecord]:
 
 
 def _validate_suite(config: SuiteConfig) -> list[TestMatrixSpec]:
-    if not config.sizes:
-        raise ValueError("sizes must be nonempty")
-    if not config.rank_deltas:
-        raise ValueError("rank_deltas must be nonempty")
-    if not config.iteration_counts:
-        raise ValueError("iteration_counts must be nonempty")
-    if not config.seeds:
-        raise ValueError("seeds must be nonempty")
+    for name in ("sizes", "rank_deltas", "iteration_counts", "seeds"):
+        values = getattr(config, name)
+        if not values:
+            raise ValueError(f"{name} must be nonempty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} has a repeated entry: {values}")
     if min(config.iteration_counts) < 0:
         raise ValueError("iteration_counts must be nonnegative")
+    if min(config.seeds) < 0:
+        raise ValueError("seeds must be nonnegative")
     specs = []
     for m, n in config.sizes:
         for k, delta in config.rank_deltas:
@@ -124,7 +124,9 @@ def run_suite(config: SuiteConfig):
     The test matrix for a spec is built once; all its cells share one ALS
     batch and one epsilon measurement, and they have one outcome: either
     every cell's record, or one failure entry {"spec", "error"} for the
-    matrix, after which the suite continues with the next matrix.
+    matrix, after which the suite continues with the next matrix.  A grid
+    with an empty list, a repeated entry, a negative j or a negative seed
+    raises ValueError before any matrix is built.
     """
     specs = _validate_suite(config)
     cells = [(j, seed) for j in config.iteration_counts for seed in config.seeds]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, qr
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import dia_array
 
 from .matrix import gaussian_matrix
@@ -65,27 +65,55 @@ def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
+# Bytes of a Gaussian drawn at a time into the array that geqrf factors.
+_DRAW_BLOCK_BYTES = 64 * 1024
+
+
+def _reflectors(n: int, r: int, seed: int):
+    """geqrf's reflectors (h, tau) of gaussian_matrix(n, r, seed, "real"), bit for bit.
+
+    The Gaussian is drawn by row blocks straight into a Fortran-ordered array
+    and factored in place: no C-ordered copy, no finite check and no R.
+    lwork comes from geqrf's own query, as scipy.linalg.qr takes it.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = np.empty((n, r), order="F")
+    block = np.empty((min(n, max(1, _DRAW_BLOCK_BYTES // (8 * r))), r))
+    for i in range(0, n, len(block)):
+        rows = block[: n - i]
+        rng.standard_normal(out=rows)
+        a[i : i + len(rows)] = rows
+    geqrf = get_lapack_funcs("geqrf", (a,))
+    lwork = geqrf(a, lwork=-1, overwrite_a=True)[2][0]
+    return geqrf(a, lwork=int(lwork), overwrite_a=True)[:2]
+
+
 def orthonormal_columns(n: int, r: int, seed: int) -> np.ndarray:
     """n-by-r orthonormal columns (r <= n): the Q of a QR of a seeded real Gaussian,
-    by the LAPACK geqrf whose reflectors residual_coordinates applies."""
-    return qr(gaussian_matrix(n, r, seed, "real"), mode="economic")[0]
+    formed in place by orgqr from the _reflectors that residual_coordinates
+    applies; the bits of scipy's qr(gaussian_matrix(...), mode="economic")."""
+    h, tau = _reflectors(n, r, seed)
+    orgqr = get_lapack_funcs("orgqr", (h,))
+    lwork = orgqr(h, tau, lwork=-1, overwrite_a=True)[1][0]
+    return orgqr(h, tau, lwork=int(lwork), overwrite_a=True)[0]
 
 
 def _working_set_bytes(spec: TestMatrixSpec) -> int:
-    """The bytes build_test_matrix(spec) holds at its peak, counted in array entries."""
+    """The bytes build_test_matrix(spec) needs at its peak, counted in array entries."""
     m, n = spec.m, spec.n
     r = min(m, n)
     if spec.transform == "dft":
         # The real sigma, [h, h] and the m-by-n result; the L-entry
         # temporaries of h are freed before the result exists.
         return r * 8 + (2 * math.lcm(m, n) + m * n) * 16
-    # F_r, Sigma G_r and the result, plus four max(m, n)-by-r arrays.  While
-    # a QR runs, its Gaussian stands in for F_r or Sigma G_r, and two of the
-    # four are geqrf's Fortran-ordered copy (orgqr turns it into Q in place)
-    # and the r-by-r R; in the product they cover G_r.  The other two cover
-    # freed arrays that malloc keeps resident once a large free has raised
-    # its mmap threshold: with two, a 1500x1500 build's peak RSS outgrew the
-    # estimate (97.8 against 85.8 MiB).
+    # F_r, Sigma G_r and the result, plus four max(m, n)-by-r terms of
+    # slack.  The arrays are the whole traced peak but one draw block and
+    # LAPACK's workspace (32 r entries with OpenBLAS): each Gaussian is drawn
+    # and factored in the array that becomes F_r or G_r, and G_r is scaled in
+    # place.  The four terms cover what a peak resident set holds beyond the
+    # arrays: freed arrays that malloc keeps resident, buffers and whole
+    # pages.  At 1500x1500 a build's peak RSS grows 63 of 120 MiB; at 256x256
+    # it still outgrows the estimate (8.4 against 3.5 MiB).
     return (m * r + r * n + m * n + 4 * max(m, n) * r) * 8
 
 
@@ -98,8 +126,10 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
     entry (p L/m + c L/n) of h, h repeated twice, where h is the L-point FFT
     of sigma scaled by 1/sqrt(m n).  So A is one FFT and a strided copy of
     [h, h].  For real_orthogonal, F_r and G_r^T are drawn as orthonormal
-    columns from seeds seed and seed + 1; a seed gives the same matrix within
-    one version of the package, not across versions.  Singular values of the
+    columns from seeds seed and seed + 1 (orthonormal_columns), and G_r is
+    scaled by Sigma in place, so the build holds F_r, Sigma G_r and the
+    result at its peak; a seed gives the same matrix within one version of
+    the package, not across versions.  Singular values of the
     result equal sigma_spectrum(spec) by unitary invariance.  A working set
     over MEMORY_BUDGET raises ValueError before anything is built.
     """
@@ -117,13 +147,15 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
         return np.lib.stride_tricks.as_strided(hh, (m, n), strides, writeable=False).copy()
     f_r = orthonormal_columns(m, r, spec.seed)
     g_r = orthonormal_columns(n, r, spec.seed + 1).T
-    return f_r @ (sig[:, None] * g_r)
+    g_r *= sig[:, None]
+    return f_r @ g_r
 
 
 def _reflected_transpose(m: int, r: int, seed: int):
     """x -> Q^T x for the complete m-by-m Q of the QR of gaussian_matrix(m, r, seed),
-    applied from the QR's r Householder reflectors (LAPACK ormqr), never formed."""
-    (h, tau), _ = qr(gaussian_matrix(m, r, seed, "real"), mode="raw")
+    never formed: ormqr applies the r reflectors of _reflectors(m, r, seed),
+    the ones orthonormal_columns(m, r, seed) forms its thin Q from."""
+    h, tau = _reflectors(m, r, seed)
     ormqr = get_lapack_funcs("ormqr", (h,))
 
     def apply(x):

@@ -3,14 +3,16 @@
 Nothing here calls the code paths under test: least-squares solutions come
 from explicitly inverted normal equations, the residual A - S T from one
 matrix-vector product per term, the discrete Fourier transform from its
-entry formula, and the exact residual norm of a test matrix from a dense SVD
+entry formula, the exact residual norm of a test matrix from a dense SVD
 in its own coordinates, with the complete transform formed as a dense
-matrix.  Only the inputs that define a
+matrix, and a real test matrix from scipy's QR of each Gaussian as drawn.
+Only the inputs that define a
 test matrix, its spectrum and its seeded Gaussian draws, come from the
 library.
 """
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.sparse.linalg import LinearOperator
 
 from lowrank_als.matrix import gaussian_matrix
@@ -80,6 +82,17 @@ def complete_transform(spec) -> np.ndarray:
     if spec.transform == "dft":
         return dft_matrix(spec.m)
     return np.linalg.qr(gaussian_matrix(spec.m, min(spec.m, spec.n), spec.seed, "real"), mode="complete")[0]
+
+
+def qr_built_real_test_matrix(spec) -> np.ndarray:
+    """A real_orthogonal test matrix from scipy's economic QR of each
+    C-ordered Gaussian, then F_r (Sigma G_r) with Sigma G_r a new array.
+    build_test_matrix must give the same bits."""
+    r = min(spec.m, spec.n)
+    sig = sigma_spectrum(spec)
+    f_r = qr(gaussian_matrix(spec.m, r, spec.seed, "real"), mode="economic")[0]
+    g_r = qr(gaussian_matrix(spec.n, r, spec.seed + 1, "real"), mode="economic")[0].T
+    return f_r @ (sig[:, None] * g_r)
 
 
 def residual_norm(spec, s: np.ndarray) -> float:

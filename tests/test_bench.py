@@ -159,6 +159,24 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="iteration_counts"):
             run_suite(dataclasses.replace(SMALL_SUITE, iteration_counts=(0, -1)))
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("seeds", (0, -1)),
+            ("seeds", (1, 1)),
+            ("iteration_counts", (2, 0, 2)),
+            ("sizes", ((32, 64), (32, 64))),
+            ("rank_deltas", ((2, 1e-3), (2, 1e-3))),
+        ],
+        ids=["negative_seed", "repeated_seed", "repeated_j", "repeated_size", "repeated_rank_delta"],
+    )
+    def test_bad_grid_rejected_before_any_build(self, field, values, monkeypatch):
+        import lowrank_als.bench as bench
+
+        monkeypatch.setattr(bench, "build_test_matrix", lambda spec: pytest.fail("built a matrix"))
+        with pytest.raises(ValueError, match=field):
+            run_suite(dataclasses.replace(SMALL_SUITE, **{field: values}))
+
     def test_failed_measurement_fails_its_matrix(self, monkeypatch):
         import lowrank_als.bench as bench
 

@@ -138,6 +138,19 @@ def test_zero_seed_count_is_config_error():
     assert main(["--m", "32", "--n", "64", "--seeds", "0", "--iters", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "options",
+    [["--seeds=-1,2"], ["--seeds", "1,1", "--iters", "2,2"], ["--seeds", "0,1,0"], ["--k", "2,2"]],
+    ids=["negative_seed", "repeated_seed_and_iters", "repeated_seed", "repeated_k"],
+)
+def test_bad_grid_is_config_error_before_any_build(options, monkeypatch, capsys):
+    # A negative seed used to fail every matrix inside its batch (exit 1), and
+    # a repeated seed or j wrote each cell once per repeat.
+    monkeypatch.setattr(bench, "build_test_matrix", lambda spec: pytest.fail("built a matrix"))
+    assert main(["--m", "32", "--n", "64", *options]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["--bogus"])

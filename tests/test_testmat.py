@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.linalg import svdvals
+from scipy.linalg import get_lapack_funcs, qr, svdvals
 
 from lowrank_als import testmat
 from lowrank_als.cli import PAPER_SIZES
@@ -19,6 +19,7 @@ from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 from lowrank_als.testmat import (
     MEMORY_BUDGET,
     TestMatrixSpec,
+    _reflectors,
     _working_set_bytes,
     build_test_matrix,
     orthonormal_columns,
@@ -26,7 +27,7 @@ from lowrank_als.testmat import (
     sigma_spectrum,
 )
 
-from oracles import ROUNDING_ALLOWANCE, complete_transform, dft_matrix
+from oracles import ROUNDING_ALLOWANCE, complete_transform, dft_matrix, qr_built_real_test_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -201,9 +202,10 @@ class TestBuildTestMatrix:
 
     @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (40, 40)])
     def test_real_memory_bound_is_exact(self, shape, monkeypatch):
-        # F_r, Sigma G_r, the m-by-n result and four max(m, n)-by-r arrays:
-        # the QR's copy and R, and the freed arrays malloc keeps resident,
-        # which the peak-RSS test below needs at 1500x1500.
+        # F_r, Sigma G_r, the m-by-n result and four max(m, n)-by-r terms of
+        # slack for what a peak resident set holds beyond these arrays
+        # (freed arrays malloc keeps resident, buffers, whole pages); the
+        # build itself holds no QR copy or R.
         m, n = shape
         r = min(m, n)
         spec = TestMatrixSpec(m, n, 2, 1e-3, transform="real_orthogonal")
@@ -225,9 +227,18 @@ class TestBuildTestMatrix:
         finally:
             tracemalloc.stop()
         assert _working_set_bytes(spec) >= peak
-        # The arrays themselves fit two of the four max(m, n)-by-r terms: a
-        # QR holds its Gaussian, one copy and R (numpy's QR, more).
         assert _working_set_bytes(spec) - 2 * max(shape) * min(shape) * 8 >= peak
+        # Without the slack: F_r, Sigma G_r and the result, plus one draw
+        # block, tau and the larger of geqrf's and orgqr's workspace.  The
+        # build copies neither Gaussian, forms no R and scales G_r in place.
+        m, n = shape
+        r = min(m, n)
+        probe = np.empty((max(m, n), r), order="F")
+        lwork = max(
+            get_lapack_funcs("geqrf", (probe,))(probe, lwork=-1, overwrite_a=True)[2][0],
+            get_lapack_funcs("orgqr", (probe,))(probe, np.zeros(r), lwork=-1, overwrite_a=True)[1][0],
+        )
+        assert (m * r + r * n + m * n + r + int(lwork)) * 8 + testmat._DRAW_BLOCK_BYTES >= peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     @pytest.mark.parametrize("shape", [(3000, 800), (800, 3000), (1500, 1500)])
@@ -238,8 +249,7 @@ class TestBuildTestMatrix:
         # in a child forked after a warm-up build, whose peak starts at its
         # parent's current resident set.  Resident arrays also round up to
         # whole (possibly 2 MiB huge) pages; at these shapes the estimate's
-        # two spare max(m, n)-by-r terms and its m n entries of slack in each
-        # phase cover that.
+        # four max(m, n)-by-r terms of slack cover that.
         script = f"""
 import os, resource
 from lowrank_als.testmat import TestMatrixSpec, _working_set_bytes, build_test_matrix
@@ -272,6 +282,74 @@ print(_working_set_bytes(spec))
         for m, n in PAPER_SIZES:
             for transform in ("dft", "real_orthogonal"):
                 assert _working_set_bytes(TestMatrixSpec(m, n, 10, 1e-3, transform=transform)) <= MEMORY_BUDGET
+
+
+def _spy_on_geqrf(monkeypatch):
+    """Record, for each factoring geqrf call of testmat, the array it gets and
+    a copy of that array's values on entry (workspace queries are skipped)."""
+    seen = []
+    real = testmat.get_lapack_funcs
+
+    def get_lapack_funcs_spy(names, arrays):
+        funcs = real(names, arrays)
+        if names != "geqrf":
+            return funcs
+
+        def geqrf(a, *args, **kwargs):
+            if kwargs.get("lwork") != -1:
+                seen.append((a, a.copy(order="A")))
+            return funcs(a, *args, **kwargs)
+
+        return geqrf
+
+    monkeypatch.setattr(testmat, "get_lapack_funcs", get_lapack_funcs_spy)
+    return seen
+
+
+# (n, r) draws of several row blocks, the last one short: a thin draw, one
+# column, and a square draw (n = r).
+DRAW_CASES = pytest.mark.parametrize(
+    "n, r", [(1000, 48), (10000, 1), (300, 300)], ids=["short_last_block", "one_column", "square"]
+)
+
+
+class TestInPlaceBuild:
+    """The real build draws each Gaussian into geqrf's column order and
+    factors it in place, with the bits of scipy's QR of the C-ordered draw."""
+
+    @DRAW_CASES
+    def test_block_draw_is_gaussian_matrix(self, n, r, monkeypatch):
+        rows = testmat._DRAW_BLOCK_BYTES // (8 * r)
+        assert n > rows and n % rows != 0
+        seen = _spy_on_geqrf(monkeypatch)
+        h, _ = _reflectors(n, r, 7)
+        ((a, drawn),) = seen
+        assert drawn.flags.f_contiguous
+        assert np.array_equal(drawn, gaussian_matrix(n, r, 7, "real"))
+        assert h is a  # factored in place, not copied
+
+    @DRAW_CASES
+    def test_reflectors_are_scipy_raw_qr(self, n, r):
+        (h_want, tau_want), _ = qr(gaussian_matrix(n, r, 7, "real"), mode="raw")
+        h, tau = _reflectors(n, r, 7)
+        assert np.array_equal(h, h_want) and np.array_equal(tau, tau_want)
+
+    @DRAW_CASES
+    def test_q_formed_in_the_drawn_array(self, n, r, monkeypatch):
+        seen = _spy_on_geqrf(monkeypatch)
+        q = orthonormal_columns(n, r, 7)
+        ((a, _),) = seen
+        assert q is a and q.flags.f_contiguous
+        assert np.array_equal(q, qr(gaussian_matrix(n, r, 7, "real"), mode="economic")[0])
+
+    @pytest.mark.parametrize(
+        "shape, seed", [((96, 48), 0), ((48, 96), 1), ((64, 64), 2), ((1000, 40), 7), ((30, 700), 42)]
+    )
+    def test_build_matches_qr_construction(self, shape, seed):
+        spec = TestMatrixSpec(*shape, 2, 1e-3, transform="real_orthogonal", seed=seed)
+        a = build_test_matrix(spec)
+        assert a.flags.c_contiguous
+        assert np.array_equal(a, qr_built_real_test_matrix(spec))
 
 
 def _orthonormal_blocks(spec, widths, seed):
