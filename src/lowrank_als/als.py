@@ -140,6 +140,8 @@ def _validate(config: AlsConfig, shape) -> None:
         raise ValueError(f"rank_k={config.rank_k} must lie in [1, {min(m, n)}] for shape {shape}")
     if config.iterations_j < 0:
         raise ValueError("iterations_j must be nonnegative")
+    if config.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
 
 
 def als_init(a, config: AlsConfig, seeds) -> AlsState:

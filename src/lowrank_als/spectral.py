@@ -1,20 +1,41 @@
 """Spectral-norm estimation by the power method on implicitly defined operators.
 
-An operator is a numpy array, a scipy sparse array or a LinearOperator; only
-a 2-d numpy array is applied by row blocks as stored.
+An operator is a numpy array, a ColumnDiagonal, a scipy sparse array or a
+LinearOperator.  A 2-d numpy array is applied by row blocks as stored and a
+ColumnDiagonal by elementwise row products; scipy.sparse.linalg is imported
+only when an operator of another kind is measured.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import get_blas_funcs
-from scipy.sparse.linalg import aslinearoperator
 
 from .matrix import frobenius_norm, gaussian_matrix
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
 # factorization seed; pass another start vector per call when needed.
 DEFAULT_POWER_SEED = 0x9E3779B9
+
+
+@dataclass(frozen=True)
+class ColumnDiagonal:
+    """The m-by-r matrix [diag(d); 0] of a 1-d real ``d`` of length r <= m,
+    held as ``d`` alone: the Sigma_r that testmat.residual_coordinates
+    measures.  ``shape`` and ``dtype`` are those of the matrix."""
+
+    d: np.ndarray
+    m: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.m, len(self.d))
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.d.dtype
 
 
 def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
@@ -43,22 +64,41 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
 
     The iterates are the rows of one C-ordered block.  A 2-d numpy array A
     is applied as V A^T and (U* A)*, which multiply the block into A as
-    stored.  Anything else aslinearoperator accepts, such as a scipy sparse
-    array or a LinearOperator, is applied by its matmat and rmatmat on the
-    transposed block; scipy's adjoint of aslinearoperator(A) keeps a
-    conjugated copy of a dense complex A, so pass the array itself.
+    stored.  A ColumnDiagonal [diag(d); 0] is applied as [V d, 0] and
+    U[:, :r] d, elementwise products with no transposes.  Anything else
+    aslinearoperator accepts, such as a scipy sparse array or a
+    LinearOperator, is applied by its matmat and rmatmat on the transposed
+    block; scipy's adjoint of aslinearoperator(A) keeps a conjugated copy of
+    a dense complex A, so pass the array itself.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    dense = isinstance(op, np.ndarray) and op.ndim == 2
-    if not dense:
-        op = aslinearoperator(op)
+    if isinstance(op, ColumnDiagonal):
+        d, r = op.d, len(op.d)
 
-    def forward(v):
-        return v @ op.T if dense else op.matmat(v.T).T
+        def forward(v):
+            if op.m == r:
+                return v * d
+            x = np.zeros((len(v), op.m), v.dtype)
+            np.multiply(v, d, out=x[:, :r])
+            return x
 
-    def backward(u):
-        return (u.conj() @ op).conj() if dense else op.rmatmat(u.T).T
+        def backward(u):
+            return u[:, :r] * d
+
+    else:
+        dense = isinstance(op, np.ndarray) and op.ndim == 2
+        if not dense:
+            # Imported here: the package's own operators never need scipy.sparse.
+            from scipy.sparse.linalg import aslinearoperator
+
+            op = aslinearoperator(op)
+
+        def forward(v):
+            return v @ op.T if dense else op.matmat(v.T).T
+
+        def backward(u):
+            return (u.conj() @ op).conj() if dense else op.rmatmat(u.T).T
 
     m, n = op.shape
     pairs = [(np.asarray(s), np.asarray(t)) for s, t in minus]
@@ -106,7 +146,8 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     def normalize(x):
         # A row the operator annihilates stays exactly zero (its norm taken
         # as 1), so its final estimate is 0 and the other rows are unaffected.
-        norms = np.array([nrm2(row) or 1.0 for row in x])[:, None]
+        # A one-row block, as of a standalone call, is scaled by a scalar.
+        norms = (nrm2(x[0]) or 1.0) if c == 1 else np.array([nrm2(row) or 1.0 for row in x])[:, None]
         # numpy divides a complex x by a real d as by d + 0j, which its
         # complex division reduces to re * (1 / d) and im * (1 / d): the same
         # bits, up to the sign of a zero, in under half the time.  A real

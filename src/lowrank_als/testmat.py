@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse import dia_array
 
 from .matrix import gaussian_matrix
-from .spectral import DEFAULT_POWER_SEED
+from .spectral import DEFAULT_POWER_SEED, ColumnDiagonal
 
 # Cap on the working set of build_test_matrix, in bytes.
 MEMORY_BUDGET = 4 << 30
@@ -48,6 +47,8 @@ class TestMatrixSpec:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.transform not in ("dft", "real_orthogonal"):
             raise ValueError(f"unknown transform {self.transform!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:
@@ -173,7 +174,8 @@ def residual_coordinates(spec: TestMatrixSpec, s_blocks):
     W_i = F^H S_i, A - S_i S_i^H A = F (Sigma_r - W_i W_i[:r]^H Sigma) G_r,
     whose norm is that of the m-by-r middle factor.  Returns
     (sigma, pairs, start) for power_method_norm(sigma, start=start,
-    minus=pairs): Sigma_r as an m-by-r scipy.sparse.dia_array, the pairs
+    minus=pairs): Sigma_r as the ColumnDiagonal of sigma_spectrum(spec) with
+    m rows, which power_method_norm applies by elementwise products, the pairs
     (W_i, W_i[:r]^H Sigma), and G_r v_0 for the default start v_0 of a
     measurement on A.  Each iterate of that measurement is G_r^H times one of
     this, so the estimates agree up to rounding.  The pairs take
@@ -201,7 +203,7 @@ def residual_coordinates(spec: TestMatrixSpec, s_blocks):
         start = _reflected_transpose(n, r, spec.seed + 1)(v0)[:r]
         coordinates = _reflected_transpose(m, r, spec.seed)
 
-    sigma = dia_array((sig[None, :], [0]), shape=(m, r))
+    sigma = ColumnDiagonal(sig, m)
     pairs = []
     for s in s_blocks:
         w = coordinates(s)

@@ -228,7 +228,7 @@ def test_criterion_11_frobenius_near_optimal_desk_scale():
                     cells += [j] * len(factorizations)
                     blocks += [f.s for f in factorizations]
             sigma, pairs, _ = residual_coordinates(spec, blocks)
-            dense = sigma.toarray()
+            dense = np.eye(*sigma.shape) * sigma.d
             optimum = frobenius_norm(sigma_spectrum(spec)[k:])
             for j, (w, x) in zip(cells, pairs):
                 worst[transform, j] = max(worst[transform, j], frobenius_norm(dense - w @ x) / optimum)

@@ -39,6 +39,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             als_init(a, AlsConfig(rank_k=2, iterations_j=-1, seed=0), (0,))
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            als_run(np.ones((8, 6)), AlsConfig(rank_k=2, iterations_j=1, seed=-3))
+
 
 class TestInit:
     def test_start_shape_and_rank(self):

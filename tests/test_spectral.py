@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -11,6 +16,19 @@ from lowrank_als.matrix import frobenius_norm, gaussian_matrix
 from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 
 from oracles import residual_operator
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_package_loads_no_scipy_sparse():
+    # scipy.sparse is imported only to measure an operator of another kind
+    # than a numpy array or a ColumnDiagonal, so that a process that never
+    # measures one does not pay its import time and memory.
+    script = "import sys, lowrank_als; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOperators:

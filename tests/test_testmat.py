@@ -15,7 +15,7 @@ from scipy.linalg import get_lapack_funcs, qr, svdvals
 from lowrank_als import testmat
 from lowrank_als.cli import PAPER_SIZES
 from lowrank_als.matrix import frobenius_norm, gaussian_matrix
-from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
+from lowrank_als.spectral import DEFAULT_POWER_SEED, ColumnDiagonal, power_method_norm
 from lowrank_als.testmat import (
     MEMORY_BUDGET,
     TestMatrixSpec,
@@ -50,6 +50,12 @@ class TestSpecValidation:
     def test_unknown_transform(self):
         with pytest.raises(ValueError):
             TestMatrixSpec(16, 16, 2, 1e-3, transform="hadamard")
+
+    @pytest.mark.parametrize("transform", ["dft", "real_orthogonal"])
+    def test_negative_seed_rejected(self, transform):
+        # Refused for the DFT too, which does not read the seed.
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            TestMatrixSpec(64, 32, 2, 1e-3, transform=transform, seed=-1)
 
     def test_json_roundtrip(self):
         # run_suite's failure records hold asdict(spec) inside its JSON summary.
@@ -378,14 +384,15 @@ class TestDftCoordinates:
         sig = sigma_spectrum(spec)
         blocks = _orthonormal_blocks(spec, (2, 3), seed=5)
         sigma, pairs, start = residual_coordinates(spec, blocks)
-        assert scipy.sparse.issparse(sigma)
+        assert isinstance(sigma, ColumnDiagonal) and np.array_equal(sigma.d, sig)
         assert sigma.shape == (m, r) and sigma.dtype == np.float64
+        dense = np.eye(m, r) * sigma.d  # the [diag(d); 0] it stands for
         x = gaussian_matrix(r, 2, seed=9, field=field)
         u = gaussian_matrix(m, 2, seed=10, field=field)
-        assert np.array_equal(sigma @ x, np.eye(m, r) @ (sig[:, None] * x))
-        assert np.array_equal(sigma @ x[:, 0], np.eye(m, r) @ (sig * x[:, 0]))
-        assert np.array_equal(sigma.T @ u, sig[:, None] * u[:r])
-        assert np.array_equal(sigma.T @ u[:, 0], sig * u[:r, 0])
+        assert np.array_equal(dense @ x, np.eye(m, r) @ (sig[:, None] * x))
+        assert np.array_equal(dense @ x[:, 0], np.eye(m, r) @ (sig * x[:, 0]))
+        assert np.array_equal(dense.T @ u, sig[:, None] * u[:r])
+        assert np.array_equal(dense.T @ u[:, 0], sig * u[:r, 0])
         f = complete_transform(spec)
         for s, (w, wh_sigma) in zip(blocks, pairs):
             assert w.dtype == s.dtype
@@ -400,8 +407,25 @@ class TestDftCoordinates:
         a = build_test_matrix(spec)
         s, (w, wh_sigma) = blocks[0], pairs[0]
         full = (a - s @ (s.conj().T @ a)) @ (g_r.conj().T @ x)
-        reduced = sigma @ x - w @ (wh_sigma @ x)
+        reduced = dense @ x - w @ (wh_sigma @ x)
         assert np.max(np.abs(full - f @ reduced)) <= 1e-14
+
+    @COORDINATE_CASES
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    def test_operand_matches_sparse_diagonal(self, transform, shape, n_pairs):
+        # power_method_norm applies the ColumnDiagonal by elementwise row
+        # products and the same matrix as a dia_array through
+        # aslinearoperator: the same products, so the same bits.
+        spec = TestMatrixSpec(*shape, 2, 1e-3, transform=transform)
+        m, r = spec.m, min(shape)
+        sigma, pairs, start = residual_coordinates(spec, _orthonormal_blocks(spec, (2,) * n_pairs, seed=13))
+        # The tracer counts bytes of the measured operator from these two.
+        assert sigma.shape == (m, r) and sigma.dtype == np.float64
+        sparse = scipy.sparse.dia_array((sigma.d[None, :], [0]), shape=(m, r))
+        assert power_method_norm(sigma, start=start, minus=pairs) == power_method_norm(
+            sparse, start=start, minus=pairs
+        )
+        assert power_method_norm(sigma, start=start) == power_method_norm(sparse, start=start)
 
     @COORDINATE_CASES
     def test_measurement_matches_dense_measurement(self, transform, shape):
