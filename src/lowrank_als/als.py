@@ -140,8 +140,6 @@ def _validate(config: AlsConfig, shape) -> None:
         raise ValueError(f"rank_k={config.rank_k} must lie in [1, {min(m, n)}] for shape {shape}")
     if config.iterations_j < 0:
         raise ValueError("iterations_j must be nonnegative")
-    if config.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {config.seed}")
 
 
 def als_init(a, config: AlsConfig, seeds) -> AlsState:
@@ -159,12 +157,16 @@ def als_init(a, config: AlsConfig, seeds) -> AlsState:
     approximation useless, with error near ||A||; sketching through A gives the
     familiar random-projection baseline that the iteration then refines.
     Each seed's block of S_0 has rank_k orthonormal columns, with no rank
-    cutoff.  Raises ValueError when the sketch is exactly zero.
+    cutoff.  Raises ValueError when a seed is negative or the sketch is
+    exactly zero.
     """
     _validate(config, a.shape)
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
     if config.track_errors and len(seeds) > 1:
         raise ValueError("error tracking needs a state of one seed")
     fld = "complex" if np.iscomplexobj(a) else "real"

@@ -77,8 +77,6 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         d, r = op.d, len(op.d)
 
         def forward(v):
-            if op.m == r:
-                return v * d
             x = np.zeros((len(v), op.m), v.dtype)
             np.multiply(v, d, out=x[:, :r])
             return x

@@ -43,6 +43,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
             als_run(np.ones((8, 6)), AlsConfig(rank_k=2, iterations_j=1, seed=-3))
 
+    def test_negative_batch_seed(self):
+        # The batch's seeds are drawn, not config.seed, which a batch ignores.
+        config = AlsConfig(rank_k=2, iterations_j=1, seed=-1)
+        assert [len(step) for step in als_trajectories(np.ones((8, 6)), config, (0, 1))] == [2, 2]
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            next(als_trajectories(np.ones((8, 6)), AlsConfig(rank_k=2, iterations_j=1, seed=0), (0, -1)))
+
 
 class TestInit:
     def test_start_shape_and_rank(self):

@@ -373,6 +373,11 @@ COORDINATE_CASES = pytest.mark.parametrize(
 )
 
 
+def _sparse_diagonal(sigma):
+    """The ColumnDiagonal ``sigma`` as a scipy dia_array of the same matrix."""
+    return scipy.sparse.dia_array((sigma.d[None, :], [0]), shape=sigma.shape)
+
+
 class TestDftCoordinates:
     """residual_coordinates for both transforms, against the dense F and G_r."""
 
@@ -386,13 +391,15 @@ class TestDftCoordinates:
         sigma, pairs, start = residual_coordinates(spec, blocks)
         assert isinstance(sigma, ColumnDiagonal) and np.array_equal(sigma.d, sig)
         assert sigma.shape == (m, r) and sigma.dtype == np.float64
-        dense = np.eye(m, r) * sigma.d  # the [diag(d); 0] it stands for
+        # The dia_array that test_operand_matches_sparse_diagonal measures
+        # the operand against applies exactly the [diag(sig); 0] it stands for.
+        sparse = _sparse_diagonal(sigma)
         x = gaussian_matrix(r, 2, seed=9, field=field)
         u = gaussian_matrix(m, 2, seed=10, field=field)
-        assert np.array_equal(dense @ x, np.eye(m, r) @ (sig[:, None] * x))
-        assert np.array_equal(dense @ x[:, 0], np.eye(m, r) @ (sig * x[:, 0]))
-        assert np.array_equal(dense.T @ u, sig[:, None] * u[:r])
-        assert np.array_equal(dense.T @ u[:, 0], sig * u[:r, 0])
+        assert np.array_equal(sparse @ x, np.eye(m, r) @ (sig[:, None] * x))
+        assert np.array_equal(sparse @ x[:, 0], np.eye(m, r) @ (sig * x[:, 0]))
+        assert np.array_equal(sparse.T @ u, sig[:, None] * u[:r])
+        assert np.array_equal(sparse.T @ u[:, 0], sig * u[:r, 0])
         f = complete_transform(spec)
         for s, (w, wh_sigma) in zip(blocks, pairs):
             assert w.dtype == s.dtype
@@ -407,7 +414,7 @@ class TestDftCoordinates:
         a = build_test_matrix(spec)
         s, (w, wh_sigma) = blocks[0], pairs[0]
         full = (a - s @ (s.conj().T @ a)) @ (g_r.conj().T @ x)
-        reduced = dense @ x - w @ (wh_sigma @ x)
+        reduced = sparse @ x - w @ (wh_sigma @ x)
         assert np.max(np.abs(full - f @ reduced)) <= 1e-14
 
     @COORDINATE_CASES
@@ -421,7 +428,7 @@ class TestDftCoordinates:
         sigma, pairs, start = residual_coordinates(spec, _orthonormal_blocks(spec, (2,) * n_pairs, seed=13))
         # The tracer counts bytes of the measured operator from these two.
         assert sigma.shape == (m, r) and sigma.dtype == np.float64
-        sparse = scipy.sparse.dia_array((sigma.d[None, :], [0]), shape=(m, r))
+        sparse = _sparse_diagonal(sigma)
         assert power_method_norm(sigma, start=start, minus=pairs) == power_method_norm(
             sparse, start=start, minus=pairs
         )
