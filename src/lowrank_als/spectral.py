@@ -1,9 +1,8 @@
-"""Spectral-norm estimation by the power method on implicitly defined operators.
+"""Spectral-norm estimation by the power method.
 
-An operator is a numpy array, a ColumnDiagonal, a scipy sparse array or a
-LinearOperator.  A 2-d numpy array is applied by row blocks as stored and a
-ColumnDiagonal by elementwise row products; scipy.sparse.linalg is imported
-only when an operator of another kind is measured.
+An operator is a 2-d numpy array, applied by row blocks as stored, or a
+ColumnDiagonal, applied by elementwise row products; anything else raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -62,14 +61,13 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     only by rounding: a matrix-matrix product sums in another order than a
     matrix-vector one.
 
-    The iterates are the rows of one C-ordered block.  A 2-d numpy array A
-    is applied as V A^T and (U* A)*, which multiply the block into A as
-    stored.  A ColumnDiagonal [diag(d); 0] is applied as [V d, 0] and
-    U[:, :r] d, elementwise products with no transposes.  Anything else
-    aslinearoperator accepts, such as a scipy sparse array or a
-    LinearOperator, is applied by its matmat and rmatmat on the transposed
-    block; scipy's adjoint of aslinearoperator(A) keeps a conjugated copy of
-    a dense complex A, so pass the array itself.
+    ``op`` is a ColumnDiagonal or a 2-d numpy array; anything else raises
+    ``TypeError``.  The iterates are the rows of one
+    C-ordered block.  A 2-d array A is applied as V A^T and (U* A)*, which
+    multiply the block into A as stored.  A ColumnDiagonal [diag(d); 0] is
+    applied as [V d, 0] and U[:, :r] d, elementwise products with no
+    transposes.  A non-finite entry of the operator or of a pair makes the
+    estimate non-finite, and any non-finite estimate raises ``ValueError``.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -84,19 +82,16 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         def backward(u):
             return u[:, :r] * d
 
-    else:
-        dense = isinstance(op, np.ndarray) and op.ndim == 2
-        if not dense:
-            # Imported here: the package's own operators never need scipy.sparse.
-            from scipy.sparse.linalg import aslinearoperator
-
-            op = aslinearoperator(op)
+    elif isinstance(op, np.ndarray) and op.ndim == 2:
 
         def forward(v):
-            return v @ op.T if dense else op.matmat(v.T).T
+            return v @ op.T
 
         def backward(u):
-            return (u.conj() @ op).conj() if dense else op.rmatmat(u.T).T
+            return (u.conj() @ op).conj()
+
+    else:
+        raise TypeError(f"operator must be a 2-d numpy array or a ColumnDiagonal, not {type(op).__name__}")
 
     m, n = op.shape
     pairs = [(np.asarray(s), np.asarray(t)) for s, t in minus]
@@ -155,4 +150,6 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     for _ in range(n_iters):
         v = normalize(apply_adjoint(normalize(apply(v))))
     estimates = [float(nrm2(row)) for row in apply(v)]
+    if not np.all(np.isfinite(estimates)):
+        raise ValueError(f"non-finite estimates {estimates}: the operator or a pair is not finite")
     return estimates if pairs else estimates[0]

@@ -33,8 +33,7 @@ def factorization_to_svd(s, t) -> SvdTriplet:
 
 
 def _canonicalize_phases(u: np.ndarray, v: np.ndarray):
-    u = u.copy()
-    v = v.copy()
+    # Scales the columns of u and v in place: the one caller passes fresh arrays.
     for col in range(u.shape[1]):
         idx = int(np.argmax(np.abs(u[:, col])))
         pivot = u[idx, col]

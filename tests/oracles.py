@@ -1,19 +1,16 @@
 """Independent reference computations used to check the library's fast paths.
 
 Nothing here calls the code paths under test: least-squares solutions come
-from explicitly inverted normal equations, the residual A - S T from one
-matrix-vector product per term, the discrete Fourier transform from its
-entry formula, the exact residual norm of a test matrix from a dense SVD
-in its own coordinates, with the complete transform formed as a dense
-matrix, and a real test matrix from scipy's QR of each Gaussian as drawn.
-Only the inputs that define a
-test matrix, its spectrum and its seeded Gaussian draws, come from the
-library.
+from explicitly inverted normal equations, the discrete Fourier transform
+from its entry formula, the exact residual norm of a test matrix from a
+dense SVD in its own coordinates, with the complete transform formed as a
+dense matrix, and a real test matrix from scipy's QR of each Gaussian as
+drawn.  Only the inputs that define a test matrix, its spectrum and its
+seeded Gaussian draws, come from the library.
 """
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.sparse.linalg import LinearOperator
 
 from lowrank_als.matrix import gaussian_matrix
 from lowrank_als.testmat import sigma_spectrum
@@ -35,25 +32,6 @@ def normal_equations_solve_right(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """A T* (T T*)^{-1}, the mirrored normal-equations formula."""
     gram = t @ t.conj().T
     return a @ t.conj().T @ np.linalg.inv(gram)
-
-
-def residual_operator(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> LinearOperator:
-    """The residual E = A - S T without materializing E or copying A."""
-    a = np.asarray(a)
-    s = np.asarray(s)
-    t = np.asarray(t)
-    sh, th = s.conj().T, t.conj().T
-
-    def matvec(v):
-        return a @ v - s @ (t @ v)
-
-    def rmatvec(w):
-        # A* w = conj(A^T conj(w)): A^T is a view, so A is never conjugated.
-        # w may be an (m,) vector or an (m, 1) column.
-        return (a.T @ w.conj()).conj() - th @ (sh @ w)
-
-    dtype = np.result_type(a.dtype, s.dtype, t.dtype)
-    return LinearOperator(a.shape, matvec=matvec, rmatvec=rmatvec, dtype=dtype)
 
 
 def dft_matrix(n: int) -> np.ndarray:
