@@ -1,8 +1,8 @@
 """Spectral-norm estimation by the power method.
 
-An operator is a 2-d numpy array, applied by row blocks as stored, or a
-ColumnDiagonal, applied by elementwise row products; anything else raises
-TypeError.
+An operator is a 2-d numpy array (not a masked one), applied by row blocks as
+stored, or a ColumnDiagonal, applied by elementwise row products; anything
+else raises TypeError.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     only by rounding: a matrix-matrix product sums in another order than a
     matrix-vector one.
 
-    ``op`` is a ColumnDiagonal or a 2-d numpy array; anything else raises
-    ``TypeError``.  The iterates are the rows of one
+    ``op`` is a ColumnDiagonal or a 2-d numpy array other than a masked
+    array; anything else raises ``TypeError``.  The iterates are the rows of one
     C-ordered block.  A 2-d array A is applied as V A^T and (U* A)*, which
     multiply the block into A as stored.  A ColumnDiagonal [diag(d); 0] is
     applied as [V d, 0] and U[:, :r] d, elementwise products with no
@@ -82,7 +82,7 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         def backward(u):
             return u[:, :r] * d
 
-    elif isinstance(op, np.ndarray) and op.ndim == 2:
+    elif isinstance(op, np.ndarray) and op.ndim == 2 and not isinstance(op, np.ma.MaskedArray):
 
         def forward(v):
             return v @ op.T

@@ -18,7 +18,11 @@ import scipy.linalg
 from .als import AlsConfig, als_trajectories
 from .matrix import frobenius_norm, gaussian_matrix
 from .spectral import power_method_norm
-from .testmat import orthonormal_columns
+
+
+def _orthonormal_columns(n: int, r: int, seed: int) -> np.ndarray:
+    """n-by-r orthonormal columns (r <= n): the Q of scipy's QR of a seeded real Gaussian."""
+    return scipy.linalg.qr(gaussian_matrix(n, r, seed), mode="economic")[0]
 
 
 def lstsq_solve(s, a) -> np.ndarray:
@@ -142,8 +146,8 @@ def _conditioned_instance(m: int, n: int, seed: int) -> np.ndarray:
     r = min(m, n)
     d = np.sort(rng.uniform(1.0 / CONDITION, 1.0, size=r))[::-1]
     d[0] = 1.0
-    u = orthonormal_columns(m, r, seed + 7)
-    v = orthonormal_columns(n, r, seed + 13)
+    u = _orthonormal_columns(m, r, seed + 7)
+    v = _orthonormal_columns(n, r, seed + 13)
     return u @ (d[:, None] * v.T)
 
 
@@ -231,8 +235,8 @@ def check_power_method():
             # Constructed gap: sigma_2 / sigma_1 <= 0.9 guaranteed.
             r = min(p, q)
             d = np.concatenate([[1.0], rng.uniform(0.0, 0.9, size=r - 1)])
-            u = orthonormal_columns(p, r, 7100 + idx)
-            v = orthonormal_columns(q, r, 7200 + idx)
+            u = _orthonormal_columns(p, r, 7100 + idx)
+            v = _orthonormal_columns(q, r, 7200 + idx)
             a = u @ (np.sort(d)[::-1][:, None] * v.T)
         else:
             a = gaussian_matrix(p, q, seed=7300 + idx)

@@ -2,17 +2,15 @@
 
 Nothing here calls the code paths under test: least-squares solutions come
 from explicitly inverted normal equations, the discrete Fourier transform
-from its entry formula, the exact residual norm of a test matrix from a
-dense SVD in its own coordinates, with the complete transform formed as a
-dense matrix, and a real test matrix from scipy's QR of each Gaussian as
-drawn.  Only the inputs that define a test matrix, its spectrum and its
-seeded Gaussian draws, come from the library.
+and the orthonormal DCT-II from their entry formulas, a real test matrix as
+the dense product of its transforms, and the exact residual norm of a test
+matrix from a dense SVD in its own coordinates, with the complete transform
+formed as a dense matrix.  Only the input that defines a test matrix, its
+spectrum, comes from the library.
 """
 
 import numpy as np
-from scipy.linalg import qr
 
-from lowrank_als.matrix import gaussian_matrix
 from lowrank_als.testmat import sigma_spectrum
 
 
@@ -42,6 +40,18 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)
 
 
+def dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II: entry (p, q) = c_p cos(pi p (2 q + 1) / (2 n)) with
+    c_0 = sqrt(1/n) and c_p = sqrt(2/n) otherwise.  The angle's integer part
+    is reduced mod 4 n first, so every entry is within an ulp or so."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = np.arange(n)
+    c = np.cos((np.pi / (2 * n)) * (np.outer(q, 2 * q + 1) % (4 * n))) * np.sqrt(2.0 / n)
+    c[0] = np.sqrt(1.0 / n)
+    return c
+
+
 # A test matrix is measured on the exact residual in its own coordinates;
 # the dense A is the rounding of F Sigma G,
 # ||A - F Sigma G||_2 <= about log2(m n) * eps * ||A|| (19 at 512x1024), and
@@ -51,26 +61,20 @@ ROUNDING_ALLOWANCE = 32 * np.finfo(float).eps
 
 
 def complete_transform(spec) -> np.ndarray:
-    """The unitary m-by-m F of a test matrix A = F Sigma_r G_r, as a dense matrix.
-
-    For the DFT, dft_matrix(m).  For real_orthogonal, the complete Q of
-    numpy's QR of the build's Gaussian, whose first r = min(m, n) columns are
-    the build's F_r up to rounding.
-    """
+    """The unitary m-by-m F of a test matrix A = F Sigma_r G_r, as a dense matrix:
+    dft_matrix(m) for the DFT, dct_matrix(m).T for real_orthogonal."""
     if spec.transform == "dft":
         return dft_matrix(spec.m)
-    return np.linalg.qr(gaussian_matrix(spec.m, min(spec.m, spec.n), spec.seed, "real"), mode="complete")[0]
+    return dct_matrix(spec.m).T
 
 
-def qr_built_real_test_matrix(spec) -> np.ndarray:
-    """A real_orthogonal test matrix from scipy's economic QR of each
-    C-ordered Gaussian, then F_r (Sigma G_r) with Sigma G_r a new array.
-    build_test_matrix must give the same bits."""
+def dense_real_test_matrix(spec) -> np.ndarray:
+    """A real_orthogonal test matrix as the dense product C_m^T D C_n, with D
+    the m-by-n diagonal of the spectrum and C_p = dct_matrix(p)."""
     r = min(spec.m, spec.n)
-    sig = sigma_spectrum(spec)
-    f_r = qr(gaussian_matrix(spec.m, r, spec.seed, "real"), mode="economic")[0]
-    g_r = qr(gaussian_matrix(spec.n, r, spec.seed + 1, "real"), mode="economic")[0].T
-    return f_r @ (sig[:, None] * g_r)
+    d = np.zeros((spec.m, spec.n))
+    d[range(r), range(r)] = sigma_spectrum(spec)
+    return dct_matrix(spec.m).T @ d @ dct_matrix(spec.n)
 
 
 def residual_norm(spec, s: np.ndarray) -> float:
@@ -80,7 +84,7 @@ def residual_norm(spec, s: np.ndarray) -> float:
     Sigma_r the m-by-r diagonal [Sigma; 0], G_r with orthonormal rows), this
     is ||A - S S^H A||_2 exactly, up to the rounding of the SVD.  For a wide
     or square matrix (m = r) it is sigma_max(Sigma - W W^H Sigma).  W comes
-    from a dense F, not from an FFT or Householder reflectors.
+    from a dense F, not from a fast transform.
     """
     sigma = sigma_spectrum(spec)
     m, r = s.shape[0], len(sigma)

@@ -59,8 +59,10 @@ def test_package_loads_no_scipy_sparse():
         np.ones((2, 2, 2)),
         scipy.sparse.csr_array(np.eye(2)),
         aslinearoperator(np.eye(2)),
+        # On the dense path numpy.ma fails with its own broadcast error.
+        np.ma.masked_array(np.ones((5, 4))),
     ],
-    ids=["nested_list", "1d", "3d", "csr_array", "linear_operator"],
+    ids=["nested_list", "1d", "3d", "csr_array", "linear_operator", "masked_array"],
 )
 def test_other_operands_rejected(op):
     with pytest.raises(TypeError, match="2-d numpy array or a ColumnDiagonal"):

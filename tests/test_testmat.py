@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import get_lapack_funcs, qr, svdvals
+from scipy.linalg import svdvals
 
 from lowrank_als import testmat
 from lowrank_als.cli import PAPER_SIZES
@@ -18,15 +18,14 @@ from lowrank_als.spectral import DEFAULT_POWER_SEED, ColumnDiagonal, power_metho
 from lowrank_als.testmat import (
     MEMORY_BUDGET,
     TestMatrixSpec,
-    _reflectors,
     _working_set_bytes,
     build_test_matrix,
-    orthonormal_columns,
     residual_coordinates,
     sigma_spectrum,
 )
+from lowrank_als.verify import _orthonormal_columns
 
-from oracles import ROUNDING_ALLOWANCE, complete_transform, dft_matrix, qr_built_real_test_matrix
+from oracles import ROUNDING_ALLOWANCE, complete_transform, dct_matrix, dense_real_test_matrix, dft_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -109,22 +108,32 @@ class TestTransforms:
         f = dft_matrix(8)
         assert frobenius_norm(f.conj().T @ f - np.eye(8)) <= 1e-13
 
+    def test_dct_n2(self):
+        want = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        assert np.allclose(dct_matrix(2), want, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_dct_orthogonal(self, n):
+        c = dct_matrix(n)
+        assert frobenius_norm(c.T @ c - np.eye(n)) <= 1e-13
+
+    # verify's random orthonormal instances.
     def test_real_orthogonal_n1(self):
-        q = orthonormal_columns(1, 1, seed=0)
+        q = _orthonormal_columns(1, 1, seed=0)
         assert q.shape == (1, 1) and abs(abs(q[0, 0]) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_real_orthogonal_orthogonality(self, n):
         # Thin (r < n) and square (r = n) draws have orthonormal columns.
         for r in (1, n // 2, n):
-            q = orthonormal_columns(n, r, seed=3)
+            q = _orthonormal_columns(n, r, seed=3)
             assert q.shape == (n, r) and q.dtype == np.float64
             assert frobenius_norm(q.T @ q - np.eye(r)) <= 1e-12
 
     def test_unitary_invariance_of_singular_values(self):
         d = np.array([3.0, 1.0, 0.25, 0.01])
-        f_r = orthonormal_columns(6, 4, seed=4)
-        g_r = orthonormal_columns(5, 4, seed=5).T
+        f_r = _orthonormal_columns(6, 4, seed=4)
+        g_r = _orthonormal_columns(5, 4, seed=5).T
         sig = svdvals(f_r @ np.diag(d) @ g_r)
         assert np.allclose(sig, [*d, 0.0], atol=1e-12)
 
@@ -160,6 +169,16 @@ class TestBuildTestMatrix:
         sig = sigma_spectrum(spec)
         dense = dft_matrix(spec.m)[:, :r] @ (sig[:, None] * dft_matrix(spec.n)[:r, :])
         assert np.max(np.abs(build_test_matrix(spec) - dense)) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(96, 48), (48, 96), (64, 64), (1000, 40), (30, 700), (7, 11)])
+    def test_dct_build_matches_dense_product(self, shape):
+        spec = TestMatrixSpec(*shape, 2, 1e-3, transform="real_orthogonal")
+        a = build_test_matrix(spec)
+        assert a.flags.c_contiguous and a.dtype == np.float64
+        # ||A|| = 1, so an absolute bar.
+        assert np.max(np.abs(a - dense_real_test_matrix(spec))) <= 1e-15
+        # No transform reads the seed.
+        assert np.array_equal(build_test_matrix(dataclasses.replace(spec, seed=7)), a)
 
     def test_spectral_norm_is_one(self):
         spec = TestMatrixSpec(48, 32, 2, 1e-3)
@@ -207,14 +226,10 @@ class TestBuildTestMatrix:
 
     @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (40, 40)])
     def test_real_memory_bound_is_exact(self, shape, monkeypatch):
-        # F_r, Sigma G_r, the m-by-n result and four max(m, n)-by-r terms of
-        # slack for what a peak resident set holds beyond these arrays
-        # (freed arrays malloc keeps resident, buffers, whole pages); the
-        # build itself holds no QR copy or R.
+        # sigma, the m-by-n diagonal D and the m-by-n result.
         m, n = shape
-        r = min(m, n)
         spec = TestMatrixSpec(m, n, 2, 1e-3, transform="real_orthogonal")
-        required = (m * r + r * n + m * n + 4 * max(m, n) * r) * 8
+        required = (min(m, n) + 2 * m * n) * 8
         assert _working_set_bytes(spec) == required
         monkeypatch.setattr(testmat, "MEMORY_BUDGET", required - 1)
         with pytest.raises(ValueError, match="over the budget"):
@@ -232,18 +247,6 @@ class TestBuildTestMatrix:
         finally:
             tracemalloc.stop()
         assert _working_set_bytes(spec) >= peak
-        assert _working_set_bytes(spec) - 2 * max(shape) * min(shape) * 8 >= peak
-        # Without the slack: F_r, Sigma G_r and the result, plus one draw
-        # block, tau and the larger of geqrf's and orgqr's workspace.  The
-        # build copies neither Gaussian, forms no R and scales G_r in place.
-        m, n = shape
-        r = min(m, n)
-        probe = np.empty((max(m, n), r), order="F")
-        lwork = max(
-            get_lapack_funcs("geqrf", (probe,))(probe, lwork=-1, overwrite_a=True)[2][0],
-            get_lapack_funcs("orgqr", (probe,))(probe, np.zeros(r), lwork=-1, overwrite_a=True)[1][0],
-        )
-        assert (m * r + r * n + m * n + r + int(lwork)) * 8 + testmat._DRAW_BLOCK_BYTES >= peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     @pytest.mark.parametrize("shape", [(3000, 800), (800, 3000), (1500, 1500)])
@@ -253,8 +256,7 @@ class TestBuildTestMatrix:
         # process started from this one inherits its peak, so the build runs
         # in a child forked after a warm-up build, whose peak starts at its
         # parent's current resident set.  Resident arrays also round up to
-        # whole (possibly 2 MiB huge) pages; at these shapes the estimate's
-        # four max(m, n)-by-r terms of slack cover that.
+        # whole (possibly 2 MiB huge) pages.
         script = f"""
 import os, resource
 from lowrank_als.testmat import TestMatrixSpec, _working_set_bytes, build_test_matrix
@@ -279,7 +281,7 @@ print(_working_set_bytes(spec))
         assert 0 < grown <= required
 
     def test_thin_real_spec_fits_default_budget(self):
-        # A 32 MB result from 100 columns of a 40000-point draw.
+        # A 32 MB result, one inverse DCT of a 32 MB diagonal.
         assert _working_set_bytes(TestMatrixSpec(40000, 100, 2, 1e-3, transform="real_orthogonal")) <= MEMORY_BUDGET
 
     def test_paper_sizes_fit_default_budget(self):
@@ -287,74 +289,6 @@ print(_working_set_bytes(spec))
         for m, n in PAPER_SIZES:
             for transform in ("dft", "real_orthogonal"):
                 assert _working_set_bytes(TestMatrixSpec(m, n, 10, 1e-3, transform=transform)) <= MEMORY_BUDGET
-
-
-def _spy_on_geqrf(monkeypatch):
-    """Record, for each factoring geqrf call of testmat, the array it gets and
-    a copy of that array's values on entry (workspace queries are skipped)."""
-    seen = []
-    real = testmat.get_lapack_funcs
-
-    def get_lapack_funcs_spy(names, arrays):
-        funcs = real(names, arrays)
-        if names != "geqrf":
-            return funcs
-
-        def geqrf(a, *args, **kwargs):
-            if kwargs.get("lwork") != -1:
-                seen.append((a, a.copy(order="A")))
-            return funcs(a, *args, **kwargs)
-
-        return geqrf
-
-    monkeypatch.setattr(testmat, "get_lapack_funcs", get_lapack_funcs_spy)
-    return seen
-
-
-# (n, r) draws of several row blocks, the last one short: a thin draw, one
-# column, and a square draw (n = r).
-DRAW_CASES = pytest.mark.parametrize(
-    "n, r", [(1000, 48), (10000, 1), (300, 300)], ids=["short_last_block", "one_column", "square"]
-)
-
-
-class TestInPlaceBuild:
-    """The real build draws each Gaussian into geqrf's column order and
-    factors it in place, with the bits of scipy's QR of the C-ordered draw."""
-
-    @DRAW_CASES
-    def test_block_draw_is_gaussian_matrix(self, n, r, monkeypatch):
-        rows = testmat._DRAW_BLOCK_BYTES // (8 * r)
-        assert n > rows and n % rows != 0
-        seen = _spy_on_geqrf(monkeypatch)
-        h, _ = _reflectors(n, r, 7)
-        ((a, drawn),) = seen
-        assert drawn.flags.f_contiguous
-        assert np.array_equal(drawn, gaussian_matrix(n, r, 7, "real"))
-        assert h is a  # factored in place, not copied
-
-    @DRAW_CASES
-    def test_reflectors_are_scipy_raw_qr(self, n, r):
-        (h_want, tau_want), _ = qr(gaussian_matrix(n, r, 7, "real"), mode="raw")
-        h, tau = _reflectors(n, r, 7)
-        assert np.array_equal(h, h_want) and np.array_equal(tau, tau_want)
-
-    @DRAW_CASES
-    def test_q_formed_in_the_drawn_array(self, n, r, monkeypatch):
-        seen = _spy_on_geqrf(monkeypatch)
-        q = orthonormal_columns(n, r, 7)
-        ((a, _),) = seen
-        assert q is a and q.flags.f_contiguous
-        assert np.array_equal(q, qr(gaussian_matrix(n, r, 7, "real"), mode="economic")[0])
-
-    @pytest.mark.parametrize(
-        "shape, seed", [((96, 48), 0), ((48, 96), 1), ((64, 64), 2), ((1000, 40), 7), ((30, 700), 42)]
-    )
-    def test_build_matches_qr_construction(self, shape, seed):
-        spec = TestMatrixSpec(*shape, 2, 1e-3, transform="real_orthogonal", seed=seed)
-        a = build_test_matrix(spec)
-        assert a.flags.c_contiguous
-        assert np.array_equal(a, qr_built_real_test_matrix(spec))
 
 
 def _orthonormal_blocks(spec, widths, seed):
@@ -392,7 +326,7 @@ class TestDftCoordinates:
             assert np.max(np.abs(w - f.conj().T @ s)) <= 1e-14
             assert np.array_equal(wh_sigma, w[:r].conj().T * sig)
         v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, field)
-        g_r = dft_matrix(spec.n)[:r] if transform == "dft" else orthonormal_columns(spec.n, r, spec.seed + 1).T
+        g_r = dft_matrix(spec.n)[:r] if transform == "dft" else dct_matrix(spec.n)[:r]
         assert start.shape == (r, 1) and start.dtype == v0.dtype
         assert np.max(np.abs(start - g_r @ v0)) <= 1e-13
         # The residual maps G_r^H x to F (Sigma_r - W W[:r]^H Sigma) x, so
@@ -433,3 +367,31 @@ class TestDftCoordinates:
         # The dense A is the rounding of F Sigma G, a few eps away (||A|| = 1).
         for g, w in zip(got, want):
             assert abs(g - w) <= ROUNDING_ALLOWANCE / spec.delta * w
+
+
+# A DFT suite, a plain ALS run and the theory checks, then one real build.
+FFT_IMPORT = """
+import json, sys
+import numpy as np
+from lowrank_als import AlsConfig, SuiteConfig, TestMatrixSpec, als_run, build_test_matrix, run_suite, verify
+def fft_modules():
+    return sorted(m for m in sys.modules if m == "scipy.fft" or m.startswith("scipy.fft."))
+config = SuiteConfig(sizes=((16, 24),), rank_deltas=((2, 1e-3),), iteration_counts=(0, 1), seeds=(0,))
+records, summary = run_suite(config)
+assert len(records) == 2 and not summary["failures"], summary
+als_run(np.random.default_rng(0).standard_normal((12, 9)), AlsConfig(rank_k=2, iterations_j=1, seed=0))
+assert all(result.passed for result in verify.run_all())
+before = fft_modules()
+build_test_matrix(TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal"))
+print(json.dumps([before, fft_modules()]))
+"""
+
+
+def test_only_real_test_matrices_load_scipy_fft():
+    # scipy.fft takes about 0.1 s to import, which every DFT run would pay
+    # if testmat imported it at module level.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", FFT_IMPORT], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    assert before == [] and "scipy.fft" in after
