@@ -6,17 +6,22 @@ approximation_error, factorization_to_svd and the io readers and writers
 call it.  times and orthonormal_basis take arrays as given, as the
 ALS iteration hands them over; orthonormal_basis estimates no rank.  All
 routines operate on plain numpy arrays (row-major, float64 or complex128)
-and add only what numpy/scipy lack; callers use numpy/scipy directly for
-the rest (QR, rank, least squares, singular values, the adjoint
-``x.conj().T`` and the product U* A).
+and add only what numpy lacks; callers use numpy directly for the rest
+(QR, rank, least squares, singular values, the adjoint ``x.conj().T`` and
+the product U* A).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+# A sum of n squares at or above this is right to rounding: the squares
+# that underflowed, each off by at most 2**-1075, move it by under n * 2**-115.
+_SQUARES_MIN = 2.0**-960
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate ``a`` as a finite 2-d float64/complex128 array and return it C-ordered."""
@@ -47,11 +52,16 @@ def frobenius_norm(a) -> float:
     """Frobenius norm (Euclidean norm for vectors), right at every scale
     where the norm itself is representable.
 
-    BLAS nrm2 on the flattened entries avoids the underflow and overflow of
-    squaring them.  scipy.linalg.norm sends 2-d input to numpy's norm, which
-    squares unscaled, hence the reshape.
+    The square root of one BLAS dot of the entries with themselves, or, if
+    that is nan, inf or below _SQUARES_MIN, of the magnitudes divided by the
+    largest: a real division, as numpy's complex one by a subnormal overflows.
     """
-    return float(scipy.linalg.norm(np.asarray(a).reshape(-1), check_finite=False))
+    total = np.vdot(a, a).real
+    if _SQUARES_MIN <= total < math.inf:
+        return math.sqrt(total)
+    x = np.abs(np.asarray(a)).reshape(-1)
+    scale = x.max(initial=0.0)  # 0 for zero entries, nan or inf for non-finite ones
+    return float(scale * np.sqrt(np.dot(x / scale, x / scale)) if 0.0 < scale < math.inf else scale)
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int, field: str = "real") -> np.ndarray:
@@ -84,15 +94,17 @@ class SvdTriplet:
 
 
 def orthonormal_basis(a) -> np.ndarray:
-    """The Q of an economic column-pivoted QR of ``a``, with no rank cutoff:
-    min(m, c) orthonormal columns for an m-by-c ``a``, whose span contains col(a).
+    """The Q of an economic QR of ``a``, with no rank cutoff: min(m, c)
+    orthonormal columns for an m-by-c ``a``, whose span contains col(a).
 
-    ``a`` is a 2-d float64/complex128 array with positive dimensions; scipy
-    raises ValueError for non-finite entries.  Householder QR gives
-    orthonormal columns for any input, so a column of ``a`` that carries only
-    rounding still yields a basis column, orthogonal to the rest.  In ALS
-    such a column cannot hurt: it can only enlarge col(S), and T = S* A is
-    optimal for any orthonormal S, so ||A - S S* A|| cannot rise.  Dropping
-    it could: a column lost once stays lost for the whole run.
+    ``a`` is a 2-d float64/complex128 array with positive dimensions; a
+    non-finite entry raises ValueError.  Householder QR gives orthonormal
+    columns for any input, so a column of ``a`` that carries only rounding
+    still yields a basis column, orthogonal to the rest.  In ALS such a
+    column cannot hurt: it can only enlarge col(S), and T = S* A is optimal
+    for any orthonormal S, so ||A - S S* A|| cannot rise.  Dropping it
+    could: a column lost once stays lost for the whole run.
     """
-    return scipy.linalg.qr(a, mode="economic", pivoting=True)[0]
+    if not np.isfinite(a).all():
+        raise ValueError("the matrix to orthonormalize contains non-finite entries")
+    return np.linalg.qr(a)[0]

@@ -2,7 +2,7 @@
 
 An operator is a 2-d numpy array (not a masked one), applied by row blocks as
 stored, or a ColumnDiagonal, applied by elementwise row products; anything
-else raises TypeError.
+else raises TypeError.  Iterates are normalized as frobenius_norm measures.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
 
-from .matrix import frobenius_norm, gaussian_matrix
+from .matrix import _SQUARES_MIN, frobenius_norm, gaussian_matrix
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
 # factorization seed; pass another start vector per call when needed.
@@ -35,6 +34,18 @@ class ColumnDiagonal:
     @property
     def dtype(self) -> np.dtype:
         return self.d.dtype
+
+
+def _row_norms(x) -> np.ndarray:
+    """Norms of the rows of the C-ordered ``x``, 1 for a zero row: one batched row
+    dot on the real view, then frobenius_norm for each row whose sum it would retry."""
+    flat = x.view(x.real.dtype)
+    with np.errstate(over="ignore"):  # an overflowed sum is retried below
+        sums = (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+    norms = np.sqrt(sums)
+    for i in np.flatnonzero(~((sums >= _SQUARES_MIN) & (sums < np.inf))):
+        norms[i] = frobenius_norm(x[i]) or 1.0
+    return norms
 
 
 def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
@@ -133,14 +144,12 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         if not np.any(v):
             raise ValueError("start is zero")
     v = np.repeat((v / frobenius_norm(v)).reshape(1, n), c, axis=0)
-    # BLAS nrm2, as in frobenius_norm: np.linalg.norm(axis=1) squares the entries.
-    nrm2 = get_blas_funcs("nrm2", dtype=np.result_type(dtype, v), ilp64="preferred")
 
     def normalize(x):
         # A row the operator annihilates stays exactly zero (its norm taken
         # as 1), so its final estimate is 0 and the other rows are unaffected.
         # A one-row block, as of a standalone call, is scaled by a scalar.
-        norms = (nrm2(x[0]) or 1.0) if c == 1 else np.array([nrm2(row) or 1.0 for row in x])[:, None]
+        norms = (frobenius_norm(x) or 1.0) if c == 1 else _row_norms(x)[:, None]
         # numpy divides a complex x by a real d as by d + 0j, which its
         # complex division reduces to re * (1 / d) and im * (1 / d): the same
         # bits, up to the sign of a zero, in under half the time.  A real
@@ -149,7 +158,7 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
 
     for _ in range(n_iters):
         v = normalize(apply_adjoint(normalize(apply(v))))
-    estimates = [float(nrm2(row)) for row in apply(v)]
+    estimates = [frobenius_norm(row) for row in apply(v)]
     if not np.all(np.isfinite(estimates)):
         raise ValueError(f"non-finite estimates {estimates}: the operator or a pair is not finite")
     return estimates if pairs else estimates[0]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .als import AlsConfig, als_trajectories
 from .matrix import frobenius_norm, gaussian_matrix
@@ -21,8 +20,8 @@ from .spectral import power_method_norm
 
 
 def _orthonormal_columns(n: int, r: int, seed: int) -> np.ndarray:
-    """n-by-r orthonormal columns (r <= n): the Q of scipy's QR of a seeded real Gaussian."""
-    return scipy.linalg.qr(gaussian_matrix(n, r, seed), mode="economic")[0]
+    """n-by-r orthonormal columns (r <= n): the Q of numpy's QR of a seeded real Gaussian."""
+    return np.linalg.qr(gaussian_matrix(n, r, seed))[0]
 
 
 def lstsq_solve(s, a) -> np.ndarray:
@@ -31,11 +30,13 @@ def lstsq_solve(s, a) -> np.ndarray:
     Computed by LAPACK gelsd (SVD-based), never by forming S*S, with singular
     values of s below max(p, q) * eps * sigma_max counted as zero.  For a
     rank-deficient s the minimizer is not unique, and this is the one of
-    least norm (the pseudoinverse solution).  scipy rejects non-finite
-    entries and a row-count mismatch with ValueError.
+    least norm (the pseudoinverse solution).  Non-finite entries and a
+    row-count mismatch raise ValueError.
     """
+    if not (np.isfinite(s).all() and np.isfinite(a).all()):
+        raise ValueError("the least-squares problem contains non-finite entries")
     cond = max(np.shape(s)) * np.finfo(np.float64).eps
-    return scipy.linalg.lstsq(s, a, cond=cond)[0]
+    return np.linalg.lstsq(s, a, rcond=cond)[0]
 
 
 def lstsq_solve_right(t, a) -> np.ndarray:
@@ -46,12 +47,15 @@ def lstsq_solve_right(t, a) -> np.ndarray:
 def projector(a) -> np.ndarray:
     """Orthogonal projector Q Q* onto col(a), the one place where a rank is the answer.
 
-    Q is scipy.linalg.orth(a): the left singular vectors of the singular
-    values above max(m, n) * eps * sigma_max.  Idempotent and self-adjoint;
-    a rank-deficient ``a`` projects onto its numerical column space, and the
-    zero matrix has an m-by-0 basis and so maps to the zero projector.
+    Q: the left singular vectors of the singular values above scipy.linalg.orth's
+    max(m, n) * eps * sigma_max.  Idempotent and self-adjoint; a rank-deficient
+    ``a`` projects onto its numerical column space, and the zero matrix has an
+    m-by-0 basis and so maps to the zero projector.  Non-finite entries raise.
     """
-    q = scipy.linalg.orth(a)
+    if not np.isfinite(a).all():
+        raise ValueError("the matrix to project onto contains non-finite entries")
+    u, sigma, _ = np.linalg.svd(a, full_matrices=False)
+    q = u[:, sigma > max(np.shape(a)) * np.finfo(np.float64).eps * sigma.max(initial=0.0)]
     return q @ q.conj().T
 
 
@@ -240,7 +244,7 @@ def check_power_method():
             a = u @ (np.sort(d)[::-1][:, None] * v.T)
         else:
             a = gaussian_matrix(p, q, seed=7300 + idx)
-        sig = scipy.linalg.svdvals(a)
+        sig = np.linalg.svd(a, compute_uv=False)
         est = power_method_norm(a, start=gaussian_matrix(q, 1, idx))
         if est > sig[0] * (1.0 + 1e-12):
             bad.append((idx, "upper", est, float(sig[0])))

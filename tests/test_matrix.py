@@ -92,6 +92,54 @@ class TestNormsAndAdjoint:
         assert abs(frobenius_norm(c * a) / c - want) <= 1e-13 * want
 
 
+class TestNormEdges:
+    """frobenius_norm's retry, pinned where the hypothesis test only samples."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("exponent", [300, 160, -160, -300])
+    def test_scales(self, field, exponent):
+        # At 1e160 and above the squares overflow, at 1e-160 and below they
+        # underflow; the exact norm is c times the fsum-based norm of a.
+        a = gaussian_matrix(7, 5, seed=70, field=field)
+        c = 10.0**exponent
+        exact = c * math.sqrt(math.fsum(float(v) ** 2 for v in a.view(np.float64).ravel()))
+        assert abs(frobenius_norm(c * a) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_all_subnormal(self, dtype):
+        tiny = 2.0**-1074  # the smallest subnormal; its square is 0
+        assert frobenius_norm(np.full(4, tiny, dtype)) == 2 * tiny
+        assert frobenius_norm(np.array([3 * tiny, 4 * tiny], dtype)) == 5 * tiny
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_and_single_entries(self, dtype):
+        assert frobenius_norm(np.zeros((3, 2), dtype)) == 0.0
+        for value in (-3.0, 1e300, -1e-300, 2.0**-1070):
+            assert frobenius_norm(np.array([value], dtype)) == abs(value)
+
+    def test_huge_beside_tiny(self):
+        assert frobenius_norm([1e200, 1e-200, -1e-200]) == 1e200
+        assert frobenius_norm([3e200, 1e-200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+        assert frobenius_norm([3e-200, 4e-200, 1e-300]) == pytest.approx(5e-200, rel=1e-15)
+
+    def test_underflowed_squares_beside_a_normal_one(self):
+        # 2**-510 squares to 2**-1020, a normal number, but the other squares
+        # are subnormal and each rounds to 1 or 2 units of 2**-1074 instead
+        # of its 1.5; their 1e5 errors move the norm by about 1.4e-12.  A
+        # sum below 2**-960 is retried from rescaled entries, whose squares
+        # are normal.  The large entry comes last, so no partial sum of the
+        # dot holds it while the small squares are added.
+        x = np.full(100_001, math.sqrt(1.5) * 2.0**-537)
+        x[-1] = 2.0**-510
+        scaled = x * 2.0**510
+        exact = 2.0**-510 * math.sqrt(math.fsum(scaled * scaled))
+        assert abs(frobenius_norm(x) - exact) <= 1e-13 * exact
+
+    def test_non_finite(self):
+        assert frobenius_norm([1.0, np.inf]) == np.inf
+        assert np.isnan(frobenius_norm([np.nan, 1e300, 1.0]))
+
+
 class TestRankHelpers:
     def test_orthonormal_basis_keeps_every_column(self):
         # rank(m) < 3 loses no column: all three come back orthonormal, and
@@ -102,3 +150,13 @@ class TestRankHelpers:
             assert q.shape == (5, 3)
             assert frobenius_norm(q.conj().T @ q - np.eye(3)) <= 1e-12
             assert frobenius_norm(m - q @ (q.conj().T @ m)) <= 1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_orthonormal_basis_rejects_non_finite(self, field, bad):
+        # numpy's QR would return a basis of NaNs; the check makes a NaN in A
+        # fail at the sketch.
+        m = gaussian_matrix(5, 3, seed=71, field=field)
+        m[2, 1] = bad
+        with pytest.raises(ValueError, match="^the matrix to orthonormalize contains non-finite entries$"):
+            orthonormal_basis(m)

@@ -369,29 +369,34 @@ class TestDftCoordinates:
             assert abs(g - w) <= ROUNDING_ALLOWANCE / spec.delta * w
 
 
-# A DFT suite, a plain ALS run and the theory checks, then one real build.
+# A DFT suite, a plain ALS run and the theory checks, then one real build
+# and a real suite, which also measures in the DCT's coordinates.
 FFT_IMPORT = """
-import json, sys
+import dataclasses, json, sys
 import numpy as np
 from lowrank_als import AlsConfig, SuiteConfig, TestMatrixSpec, als_run, build_test_matrix, run_suite, verify
-def fft_modules():
-    return sorted(m for m in sys.modules if m == "scipy.fft" or m.startswith("scipy.fft."))
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 config = SuiteConfig(sizes=((16, 24),), rank_deltas=((2, 1e-3),), iteration_counts=(0, 1), seeds=(0,))
 records, summary = run_suite(config)
 assert len(records) == 2 and not summary["failures"], summary
 als_run(np.random.default_rng(0).standard_normal((12, 9)), AlsConfig(rank_k=2, iterations_j=1, seed=0))
 assert all(result.passed for result in verify.run_all())
-before = fft_modules()
+before = scipy_modules()
 build_test_matrix(TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal"))
-print(json.dumps([before, fft_modules()]))
+records, summary = run_suite(dataclasses.replace(config, transform="real_orthogonal"))
+assert len(records) == 2 and not summary["failures"], summary
+print(json.dumps([before, scipy_modules()]))
 """
 
 
 def test_only_real_test_matrices_load_scipy_fft():
     # scipy.fft takes about 0.1 s to import, which every DFT run would pay
-    # if testmat imported it at module level.
+    # if testmat imported it at module level.  It brings no scipy.linalg,
+    # which the package never needs.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", FFT_IMPORT], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout)
     assert before == [] and "scipy.fft" in after
+    assert not [m for m in after if m == "scipy.linalg" or m.startswith("scipy.linalg.")]

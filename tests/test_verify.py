@@ -82,6 +82,16 @@ class TestLstsq:
         want = np.linalg.pinv(s) @ a
         assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["s", "a"])
+    def test_rejects_non_finite(self, field, bad, where):
+        # numpy's gelsd raises only when the SVD fails to converge.
+        args = {"s": gaussian_matrix(5, 2, seed=13, field=field), "a": gaussian_matrix(5, 3, seed=14, field=field)}
+        args[where][1, 1] = bad
+        with pytest.raises(ValueError, match="^the least-squares problem contains non-finite entries$"):
+            lstsq_solve(**args)
+
 
 class TestLstsqRight:
     def test_orthonormal_rows(self):
@@ -124,6 +134,21 @@ class TestProjector:
 
     def test_zero_matrix(self):
         assert np.array_equal(projector(np.zeros((3, 2))), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("ratio, rank", [(1.5, 2), (0.75, 1)])
+    def test_cutoff(self, ratio, rank):
+        # scipy.linalg.orth's cutoff max(m, n) * eps * sigma_max: a singular
+        # value at 1.5 times it is kept and one at 0.75 times it dropped.
+        a = np.zeros((4, 2))
+        a[0, 0], a[1, 1] = 2.0, ratio * 4 * np.finfo(np.float64).eps * 2.0
+        assert np.array_equal(projector(a), np.diag([1.0] * rank + [0.0] * (4 - rank)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        a = np.ones((4, 2), dtype=type(bad))
+        a[3, 0] = bad
+        with pytest.raises(ValueError, match="^the matrix to project onto contains non-finite entries$"):
+            projector(a)
 
     def test_trims_to_rank(self):
         # rank(ones) = 1: the projector onto the span of the ones vector.
