@@ -150,11 +150,17 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         # as 1), so its final estimate is 0 and the other rows are unaffected.
         # A one-row block, as of a standalone call, is scaled by a scalar.
         norms = (frobenius_norm(x) or 1.0) if c == 1 else _row_norms(x)[:, None]
-        # numpy divides a complex x by a real d as by d + 0j, which its
-        # complex division reduces to re * (1 / d) and im * (1 / d): the same
-        # bits, up to the sign of a zero, in under half the time.  A real
-        # x * (1 / d) would round twice, so real rows are divided.
-        return x * (1.0 / norms) if np.iscomplexobj(x) else x / norms
+        if not np.iscomplexobj(x):
+            return x / norms
+        # A complex row is divided through its real view only where 1 / d is
+        # not finite (never for d >= 2**-1022); elsewhere it is multiplied by
+        # 1 / d, the bits of numpy's complex division by d + 0j up to a zero's
+        # sign, in half the time.  A real x * (1 / d) would round twice.
+        if np.all(norms >= 2.0**-1022):
+            return x * (1.0 / norms)
+        with np.errstate(over="ignore"):
+            inverse = 1.0 / norms
+        return np.where(np.isfinite(inverse), x * inverse, (x.view(x.real.dtype) / norms).view(x.dtype))
 
     for _ in range(n_iters):
         v = normalize(apply_adjoint(normalize(apply(v))))

@@ -1,7 +1,7 @@
 """Synthetic benchmark matrices with a prescribed singular spectrum.
 
 A = F Sigma G where F and G are unitary (discrete Fourier transforms by
-default, orthonormal discrete cosine transforms as the real-arithmetic
+default, orthonormal discrete Hartley transforms as the real-arithmetic
 alternative) and Sigma is rectangular diagonal.  The spectrum has a geometric "head" decaying
 from 1 down to delta over the first k values (two values per exponent step)
 and a linear "tail" decaying from delta down to 0, so the best achievable
@@ -66,32 +66,33 @@ def sigma_spectrum(spec: TestMatrixSpec) -> np.ndarray:
 
 
 def _working_set_bytes(spec: TestMatrixSpec) -> int:
-    """The bytes build_test_matrix(spec) needs at its peak, counted in array entries."""
-    m, n = spec.m, spec.n
-    r = min(m, n)
-    if spec.transform == "dft":
-        # The real sigma, [h, h] and the m-by-n result; the L-entry
-        # temporaries of h are freed before the result exists.
-        return r * 8 + (2 * math.lcm(m, n) + m * n) * 16
-    # sigma, the m-by-n diagonal D and the result of its inverse DCT, which
-    # scipy may write over D (overwrite_x) but need not.
-    return (r + 2 * m * n) * 8
+    """The bytes build_test_matrix(spec) needs at its peak: sigma, then the
+    larger of the L-point FFT and [h, h] with the result, and 6 MiB.
+
+    numpy's FFT peaks at 9 L complex entries for an L with a large prime
+    factor, done by Bluestein's algorithm (measured at L = 519689 to 2081819),
+    and at 2-3 L otherwise; 10 L are counted.  The 6 MiB are mostly the
+    code pages of the loops a build runs: 3.3-3.9 MiB of peak-RSS growth in a
+    forked child at 14 shapes of either field (Linux x86-64, numpy 2.4).
+    """
+    period = math.lcm(spec.m, spec.n)  # L
+    result = spec.m * spec.n * (16 if spec.transform == "dft" else 8)
+    return min(spec.m, spec.n) * 8 + max(10 * period * 16, 2 * period * 16 + result) + (6 << 20)
 
 
 def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
     """Materialize A = F Sigma G.
 
-    Only the first min(m, n) columns of F and rows of G contribute.  For the
-    DFT, entry (p, c) is sum_q sigma_q exp(-2 pi i q (p/m + c/n)) / sqrt(m n),
-    which depends only on (p L/m + c L/n) mod L with L = lcm(m, n): it is
-    entry (p L/m + c L/n) of h, h repeated twice, where h is the L-point FFT
-    of sigma scaled by 1/sqrt(m n).  So A is one FFT and a strided copy of
-    [h, h].  For real_orthogonal, F = C_m^T and G = C_n with C_p the
-    orthonormal DCT-II (scipy.fft.dct(x, norm="ortho") = C_p x), so
-    A = C_m^T D C_n is one inverse DCT of the m-by-n diagonal D = Sigma_r
-    along both axes.  Singular values of the result equal
-    sigma_spectrum(spec) by unitary invariance.  A working set over
-    MEMORY_BUDGET raises ValueError before anything is built.
+    Only the first r = min(m, n) columns of F and rows of G contribute.  Both
+    fields read h, the L-point FFT of sigma over sqrt(m n), L = lcm(m, n).
+    DFT entry (p, c) is sum_q sigma_q exp(-2 pi i q (p/m + c/n)) / sqrt(m n)
+    = h[(p L/m + c L/n) mod L], a strided copy of h repeated twice.  For
+    real_orthogonal, F = H_m and G = H_n, with H_p[i, q] = cas(2 pi i q / p)
+    / sqrt(p) (cas = cos + sin) the real, symmetric and orthogonal discrete
+    Hartley transform.  As cas x cas y = cos(x - y) + sin(x + y), entry
+    (p, c) is Re h[(p L/m - c L/n) mod L] - Im h[(p L/m + c L/n) mod L].
+    Singular values of the result equal sigma_spectrum(spec) by unitary
+    invariance.  A working set over MEMORY_BUDGET raises ValueError first.
 
     Both families are deterministic: no transform reads spec.seed, which
     stays a validated field so that callers passing seed= keep working.  The
@@ -105,20 +106,22 @@ def build_test_matrix(spec: TestMatrixSpec) -> np.ndarray:
     if required > MEMORY_BUDGET:
         raise ValueError(f"test matrix needs ~{required} bytes, over the budget of {MEMORY_BUDGET} bytes")
     m, n = spec.m, spec.n
-    sig = sigma_spectrum(spec)
+    period = math.lcm(m, n)  # L
+    hh = np.tile(np.fft.fft(sigma_spectrum(spec), n=period) / math.sqrt(m * n), 2)
+    # Row p starts at p L/m < L and steps by L/n, so it ends before 2 L.
+    strides = ((period // m) * hh.itemsize, (period // n) * hh.itemsize)
+    plus = np.lib.stride_tricks.as_strided(hh, (m, n), strides, writeable=False)
     if spec.transform == "dft":
-        period = math.lcm(m, n)  # L
-        hh = np.tile(np.fft.fft(sig, n=period) / math.sqrt(m * n), 2)
-        # Row p starts at p L/m < L and steps by L/n, so it ends before 2 L.
-        strides = ((period // m) * hh.itemsize, (period // n) * hh.itemsize)
-        return np.lib.stride_tricks.as_strided(hh, (m, n), strides, writeable=False).copy()
-    # Imported here, not at module level, so that DFT-only runs do not pay
-    # the import time of scipy.fft (about 0.1 s).
-    import scipy.fft
+        return plus.copy()
+    # Row p starts at L + p L/m and steps back by L/n, so it stays in (0, 2 L).
+    minus = np.lib.stride_tricks.as_strided(hh[period:], (m, n), (strides[0], -strides[1]), writeable=False)
+    return np.subtract(minus.real, plus.imag, order="C")
 
-    d = np.zeros((m, n))
-    np.fill_diagonal(d, sig)
-    return scipy.fft.idctn(d, norm="ortho", overwrite_x=True)
+
+def _hartley(x: np.ndarray) -> np.ndarray:
+    """H_m x down the columns of the real m-row ``x``: H_m = Re F - Im F for the unitary DFT F."""
+    f = np.fft.fft(x, axis=0, norm="ortho")
+    return f.real - f.imag
 
 
 def residual_coordinates(spec: TestMatrixSpec, s_blocks):
@@ -136,28 +139,19 @@ def residual_coordinates(spec: TestMatrixSpec, s_blocks):
     this, so the estimates agree up to rounding.  The pairs take
     T_i = S_i^H A, the ALS T-update.
 
-    The transforms differ only in the maps S -> F^H S and v_0 -> G_r v_0.
-    For the DFT they are an inverse FFT of S and the first r entries of an
-    FFT of v_0; for real_orthogonal, a DCT of S and the first r entries of a
-    DCT of v_0.  Both F are complete m-by-m transforms: S_i need not lie in
-    range(F_r), and a thin F_r^H S_i would silently drop the part outside it.
+    The transforms differ only in the maps S -> F^H S and v_0 -> G_r v_0:
+    an inverse FFT of S and the first r entries of an FFT of v_0 for the
+    DFT, and Hartley transforms (H_m and H_n are symmetric) for
+    real_orthogonal.  Both F are complete m-by-m transforms: S_i need not lie
+    in range(F_r), and a thin F_r^H S_i would silently drop the part outside it.
     """
     m, n, r = spec.m, spec.n, min(spec.m, spec.n)
     sig = sigma_spectrum(spec)
     if spec.transform == "dft":
-        v0 = gaussian_matrix(n, 1, DEFAULT_POWER_SEED, "complex")
-        start = np.fft.fft(v0, axis=0, norm="ortho")[:r]
+        start = np.fft.fft(gaussian_matrix(n, 1, DEFAULT_POWER_SEED, "complex"), axis=0, norm="ortho")[:r]
         coordinates = functools.partial(np.fft.ifft, axis=0, norm="ortho")
     else:
-        import scipy.fft  # here for the reason given in build_test_matrix
-
-        v0 = gaussian_matrix(n, 1, DEFAULT_POWER_SEED, "real")
-        start = scipy.fft.dct(v0, axis=0, norm="ortho")[:r]
-        coordinates = functools.partial(scipy.fft.dct, axis=0, norm="ortho")
-
-    sigma = ColumnDiagonal(sig, m)
-    pairs = []
-    for s in s_blocks:
-        w = coordinates(s)
-        pairs.append((w, w[:r].conj().T * sig))
-    return sigma, pairs, start
+        start = _hartley(gaussian_matrix(n, 1, DEFAULT_POWER_SEED, "real"))[:r]
+        coordinates = _hartley
+    pairs = [(w, w[:r].conj().T * sig) for w in map(coordinates, s_blocks)]
+    return ColumnDiagonal(sig, m), pairs, start

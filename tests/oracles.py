@@ -2,10 +2,10 @@
 
 Nothing here calls the code paths under test: least-squares solutions come
 from explicitly inverted normal equations, the discrete Fourier transform
-and the orthonormal DCT-II from their entry formulas, a real test matrix as
-the dense product of its transforms, and the exact residual norm of a test
-matrix from a dense SVD in its own coordinates, with the complete transform
-formed as a dense matrix.  Only the input that defines a test matrix, its
+and the orthonormal discrete Hartley transform from their entry formulas, a
+real test matrix as the dense product of its transforms, and the exact
+residual norm of a test matrix from a dense SVD in its own coordinates, with
+the complete transform formed as a dense matrix.  Only the input that defines a test matrix, its
 spectrum, comes from the library.
 """
 
@@ -40,16 +40,15 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp((-2j * np.pi / n) * np.outer(q, q)) / np.sqrt(n)
 
 
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II: entry (p, q) = c_p cos(pi p (2 q + 1) / (2 n)) with
-    c_0 = sqrt(1/n) and c_p = sqrt(2/n) otherwise.  The angle's integer part
-    is reduced mod 4 n first, so every entry is within an ulp or so."""
+def dht_matrix(n: int) -> np.ndarray:
+    """Orthonormal discrete Hartley transform: entry (i, q) = cas(2 pi i q / n) / sqrt(n)
+    with cas = cos + sin.  The angle's integer part is reduced as (i q) mod n
+    first, so every entry is within an ulp or so."""
     if n < 1:
         raise ValueError("n must be >= 1")
     q = np.arange(n)
-    c = np.cos((np.pi / (2 * n)) * (np.outer(q, 2 * q + 1) % (4 * n))) * np.sqrt(2.0 / n)
-    c[0] = np.sqrt(1.0 / n)
-    return c
+    angle = (2 * np.pi / n) * (np.outer(q, q) % n)
+    return (np.cos(angle) + np.sin(angle)) / np.sqrt(n)
 
 
 # A test matrix is measured on the exact residual in its own coordinates;
@@ -62,19 +61,17 @@ ROUNDING_ALLOWANCE = 32 * np.finfo(float).eps
 
 def complete_transform(spec) -> np.ndarray:
     """The unitary m-by-m F of a test matrix A = F Sigma_r G_r, as a dense matrix:
-    dft_matrix(m) for the DFT, dct_matrix(m).T for real_orthogonal."""
+    dft_matrix(m) for the DFT, dht_matrix(m) for real_orthogonal."""
     if spec.transform == "dft":
         return dft_matrix(spec.m)
-    return dct_matrix(spec.m).T
+    return dht_matrix(spec.m)
 
 
 def dense_real_test_matrix(spec) -> np.ndarray:
-    """A real_orthogonal test matrix as the dense product C_m^T D C_n, with D
-    the m-by-n diagonal of the spectrum and C_p = dct_matrix(p)."""
+    """A real_orthogonal test matrix as the dense product H_m[:, :r] Sigma H_n[:r],
+    with r = min(m, n) and H_p = dht_matrix(p)."""
     r = min(spec.m, spec.n)
-    d = np.zeros((spec.m, spec.n))
-    d[range(r), range(r)] = sigma_spectrum(spec)
-    return dct_matrix(spec.m).T @ d @ dct_matrix(spec.n)
+    return dht_matrix(spec.m)[:, :r] @ (sigma_spectrum(spec)[:, None] * dht_matrix(spec.n)[:r])
 
 
 def residual_norm(spec, s: np.ndarray) -> float:

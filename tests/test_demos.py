@@ -56,8 +56,8 @@ OPTIONS = [
 # Names that served only tests, the theory checks or demos; the two test
 # oracles live in tests/oracles.py, the ALS steps and orthonormal_basis are
 # imported from their modules, the adjoint is numpy's x.conj().T, the square
-# real_orthogonal_matrix became a private helper of verify,
-# singular values come from scipy.linalg.svdvals, and an over-budget build
+# real_orthogonal_matrix became a private helper of verify, singular values
+# come from np.linalg.svd(..., compute_uv=False), and an over-budget build
 # raises a plain ValueError.
 REMOVED = [
     "DENSE_SVD_BUDGET",

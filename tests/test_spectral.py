@@ -17,20 +17,21 @@ from lowrank_als.spectral import DEFAULT_POWER_SEED, power_method_norm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every library path that takes no real test matrix, on tiny inputs: the DFT
-# suite, a tracked run, both error norms, the SVD conversion, a save/load
-# round trip, the theory checks and the CLI module.  The real family's
-# scipy.fft is checked in test_testmat.
+# Every library path, on tiny inputs: the DFT and real suites, a real build,
+# a tracked run, both error norms, the SVD conversion, a save/load round
+# trip, the theory checks and the CLI module.
 LIBRARY_PATHS = """
-import sys, tempfile
+import dataclasses, sys, tempfile
 import numpy as np
 import lowrank_als.cli
-from lowrank_als import (AlsConfig, SuiteConfig, als_run, approximation_error, factorization_to_svd,
-                         load_factorization, run_suite, save_factorization)
+from lowrank_als import (AlsConfig, SuiteConfig, TestMatrixSpec, als_run, approximation_error, build_test_matrix,
+                         factorization_to_svd, load_factorization, run_suite, save_factorization)
 from lowrank_als import verify
-records, summary = run_suite(SuiteConfig(sizes=((16, 24), (24, 16)), rank_deltas=((2, 1e-3),),
-                                         iteration_counts=(0, 1), seeds=(0, 1)))
-assert len(records) == 8 and not summary["failures"], summary
+config = SuiteConfig(sizes=((16, 24), (24, 16)), rank_deltas=((2, 1e-3),), iteration_counts=(0, 1), seeds=(0, 1))
+for transform in ("dft", "real_orthogonal"):
+    records, summary = run_suite(dataclasses.replace(config, transform=transform))
+    assert len(records) == 8 and not summary["failures"], summary
+build_test_matrix(TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal"))
 a = np.random.default_rng(0).standard_normal((12, 9))
 fact = als_run(a, AlsConfig(rank_k=2, iterations_j=2, seed=1, track_errors=True))
 assert approximation_error(a, fact) > 0 and approximation_error(a, fact, norm="frobenius") > 0
@@ -205,6 +206,28 @@ class TestComplexNormalization:
         quotient = x / norms[:, None]
         assert np.all(np.isfinite(quotient)) and np.all(quotient[:, 2:] != 0.0)
         assert np.array_equal(x * (1.0 / norms[:, None]), quotient)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_subnormal_operator(self, field):
+        # Iterates of norm below 2**-1024, whose 1 / norm overflows, are
+        # divided instead: the estimates scale with the operator.
+        a = gaussian_matrix(6, 4, 1, field)
+        pairs = [(gaussian_matrix(6, 2, seed, field), gaussian_matrix(2, 4, seed + 1, field)) for seed in (2, 4)]
+        assert power_method_norm(1e-310 * a) == pytest.approx(1e-310 * power_method_norm(a), rel=1e-10, abs=0)
+        tiny = [(1e-310 * s, t) for s, t in pairs]
+        want = [1e-310 * e for e in power_method_norm(a, minus=pairs)]
+        assert power_method_norm(1e-310 * a, minus=tiny) == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_normal_row_beside_a_subnormal_one(self):
+        # Only the row whose 1 / norm overflows is divided: the other row of
+        # the block is multiplied, to the bit, as in a block of normal rows.
+        # Division rounds differently in some of these instances, not all.
+        for seed in range(0, 30, 3):
+            a = 1e-310 * gaussian_matrix(6, 4, seed, "complex")
+            s, t = gaussian_matrix(6, 2, seed + 1, "complex"), gaussian_matrix(2, 4, seed + 2, "complex")
+            mixed = power_method_norm(a, minus=[(1e-310 * s, t), (s, t)])
+            assert mixed[1] == power_method_norm(a, minus=[(s, t), (s, t)])[1]
+            assert mixed[0] == pytest.approx(power_method_norm(a, minus=[(1e-310 * s, t)])[0], rel=1e-10, abs=0)
 
 
 class TestStart:

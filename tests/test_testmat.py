@@ -18,6 +18,7 @@ from lowrank_als.spectral import DEFAULT_POWER_SEED, ColumnDiagonal, power_metho
 from lowrank_als.testmat import (
     MEMORY_BUDGET,
     TestMatrixSpec,
+    _hartley,
     _working_set_bytes,
     build_test_matrix,
     residual_coordinates,
@@ -25,7 +26,7 @@ from lowrank_als.testmat import (
 )
 from lowrank_als.verify import _orthonormal_columns
 
-from oracles import ROUNDING_ALLOWANCE, complete_transform, dct_matrix, dense_real_test_matrix, dft_matrix
+from oracles import ROUNDING_ALLOWANCE, complete_transform, dense_real_test_matrix, dft_matrix, dht_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -108,14 +109,22 @@ class TestTransforms:
         f = dft_matrix(8)
         assert frobenius_norm(f.conj().T @ f - np.eye(8)) <= 1e-13
 
-    def test_dct_n2(self):
+    def test_dht_n2(self):
         want = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.allclose(dct_matrix(2), want, atol=1e-15)
+        assert np.allclose(dht_matrix(2), want, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 5, 16])
-    def test_dct_orthogonal(self, n):
-        c = dct_matrix(n)
-        assert frobenius_norm(c.T @ c - np.eye(n)) <= 1e-13
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_dht_orthogonal(self, n):
+        # H is symmetric, so H H = I is its orthogonality.
+        h = dht_matrix(n)
+        assert np.array_equal(h, h.T)
+        assert frobenius_norm(h @ h - np.eye(n)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [7, 16])
+    def test_hartley_matches_dht_matrix(self, m):
+        # The fast transform of testmat, down the columns of a block.
+        x = gaussian_matrix(m, 3, seed=8)
+        assert np.max(np.abs(_hartley(x) - dht_matrix(m) @ x)) <= 1e-14
 
     # verify's random orthonormal instances.
     def test_real_orthogonal_n1(self):
@@ -171,7 +180,7 @@ class TestBuildTestMatrix:
         assert np.max(np.abs(build_test_matrix(spec) - dense)) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(96, 48), (48, 96), (64, 64), (1000, 40), (30, 700), (7, 11)])
-    def test_dct_build_matches_dense_product(self, shape):
+    def test_dht_build_matches_dense_product(self, shape):
         spec = TestMatrixSpec(*shape, 2, 1e-3, transform="real_orthogonal")
         a = build_test_matrix(spec)
         assert a.flags.c_contiguous and a.dtype == np.float64
@@ -211,25 +220,17 @@ class TestBuildTestMatrix:
             tracemalloc.stop()
         assert peak < min(spec.m, spec.n) * 8
 
-    @pytest.mark.parametrize("shape", [(32, 64), (7, 11), (45, 30)])
-    def test_dft_memory_bound_is_exact(self, shape, monkeypatch):
-        # sigma (real), [h, h] with 2 lcm(m, n) entries and the m-by-n result.
+    # (7, 11) is coprime, so the FFT's 10 L entries outweigh [h, h] and the result.
+    @pytest.mark.parametrize("transform", ["dft", "real_orthogonal"])
+    @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (40, 40), (7, 11), (45, 30)])
+    def test_memory_bound_is_exact(self, shape, transform, monkeypatch):
+        # sigma, then the larger of the FFT and [h, h] with the m-by-n
+        # result, and the 6 MiB allowance.
         m, n = shape
-        spec = TestMatrixSpec(m, n, 2, 1e-3)
-        required = min(m, n) * 8 + (2 * math.lcm(m, n) + m * n) * 16
-        monkeypatch.setattr(testmat, "MEMORY_BUDGET", required - 1)
-        with pytest.raises(ValueError, match="over the budget"):
-            build_test_matrix(spec)
-        assert _working_set_bytes(spec) == required
-        monkeypatch.setattr(testmat, "MEMORY_BUDGET", required)
-        assert build_test_matrix(spec).shape == shape
-
-    @pytest.mark.parametrize("shape", [(64, 32), (32, 64), (40, 40)])
-    def test_real_memory_bound_is_exact(self, shape, monkeypatch):
-        # sigma, the m-by-n diagonal D and the m-by-n result.
-        m, n = shape
-        spec = TestMatrixSpec(m, n, 2, 1e-3, transform="real_orthogonal")
-        required = (min(m, n) + 2 * m * n) * 8
+        spec = TestMatrixSpec(m, n, 2, 1e-3, transform=transform)
+        period = math.lcm(m, n)
+        itemsize = 16 if transform == "dft" else 8
+        required = min(m, n) * 8 + max(10 * period * 16, 2 * period * 16 + m * n * itemsize) + (6 << 20)
         assert _working_set_bytes(spec) == required
         monkeypatch.setattr(testmat, "MEMORY_BUDGET", required - 1)
         with pytest.raises(ValueError, match="over the budget"):
@@ -237,9 +238,10 @@ class TestBuildTestMatrix:
         monkeypatch.setattr(testmat, "MEMORY_BUDGET", required)
         assert build_test_matrix(spec).shape == shape
 
+    @pytest.mark.parametrize("transform", ["dft", "real_orthogonal"])
     @pytest.mark.parametrize("shape", [(512, 64), (64, 512), (300, 500), (256, 256)])
-    def test_real_memory_estimate_covers_traced_peak(self, shape):
-        spec = TestMatrixSpec(*shape, 2, 1e-3, transform="real_orthogonal")
+    def test_memory_estimate_covers_traced_peak(self, shape, transform):
+        spec = TestMatrixSpec(*shape, 2, 1e-3, transform=transform)
         tracemalloc.start()
         try:
             build_test_matrix(spec)
@@ -249,19 +251,20 @@ class TestBuildTestMatrix:
         assert _working_set_bytes(spec) >= peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.parametrize("transform", ["dft", "real_orthogonal"])
     @pytest.mark.parametrize("shape", [(3000, 800), (800, 3000), (1500, 1500)])
-    def test_real_memory_estimate_covers_peak_rss(self, shape):
-        # tracemalloc does not see LAPACK's work space or the freed arrays
-        # malloc keeps resident; a process's peak resident set does.  A
-        # process started from this one inherits its peak, so the build runs
-        # in a child forked after a warm-up build, whose peak starts at its
-        # parent's current resident set.  Resident arrays also round up to
-        # whole (possibly 2 MiB huge) pages.
+    def test_memory_estimate_covers_peak_rss(self, shape, transform):
+        # tracemalloc sees neither the FFT's buffers, the code pages a build
+        # runs nor the freed arrays malloc keeps resident; a process's peak
+        # resident set does.  A process started from this one inherits its
+        # peak, so the build runs in a child forked after a warm-up build,
+        # whose peak starts at its parent's current resident set.  Resident
+        # arrays also round up to whole (possibly 2 MiB huge) pages.
         script = f"""
 import os, resource
 from lowrank_als.testmat import TestMatrixSpec, _working_set_bytes, build_test_matrix
-spec = TestMatrixSpec({shape[0]}, {shape[1]}, 2, 1e-3, transform="real_orthogonal")
-build_test_matrix(TestMatrixSpec(300, 200, 2, 1e-3, transform="real_orthogonal"))
+spec = TestMatrixSpec({shape[0]}, {shape[1]}, 2, 1e-3, transform="{transform}")
+build_test_matrix(TestMatrixSpec(300, 200, 2, 1e-3, transform="{transform}"))
 pid = os.fork()
 if pid == 0:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -281,7 +284,7 @@ print(_working_set_bytes(spec))
         assert 0 < grown <= required
 
     def test_thin_real_spec_fits_default_budget(self):
-        # A 32 MB result, one inverse DCT of a 32 MB diagonal.
+        # A 32 MB result; L = 40000, so the FFT's share is small.
         assert _working_set_bytes(TestMatrixSpec(40000, 100, 2, 1e-3, transform="real_orthogonal")) <= MEMORY_BUDGET
 
     def test_paper_sizes_fit_default_budget(self):
@@ -326,7 +329,7 @@ class TestDftCoordinates:
             assert np.max(np.abs(w - f.conj().T @ s)) <= 1e-14
             assert np.array_equal(wh_sigma, w[:r].conj().T * sig)
         v0 = gaussian_matrix(spec.n, 1, DEFAULT_POWER_SEED, field)
-        g_r = dft_matrix(spec.n)[:r] if transform == "dft" else dct_matrix(spec.n)[:r]
+        g_r = dft_matrix(spec.n)[:r] if transform == "dft" else dht_matrix(spec.n)[:r]
         assert start.shape == (r, 1) and start.dtype == v0.dtype
         assert np.max(np.abs(start - g_r @ v0)) <= 1e-13
         # The residual maps G_r^H x to F (Sigma_r - W W[:r]^H Sigma) x, so
@@ -367,36 +370,3 @@ class TestDftCoordinates:
         # The dense A is the rounding of F Sigma G, a few eps away (||A|| = 1).
         for g, w in zip(got, want):
             assert abs(g - w) <= ROUNDING_ALLOWANCE / spec.delta * w
-
-
-# A DFT suite, a plain ALS run and the theory checks, then one real build
-# and a real suite, which also measures in the DCT's coordinates.
-FFT_IMPORT = """
-import dataclasses, json, sys
-import numpy as np
-from lowrank_als import AlsConfig, SuiteConfig, TestMatrixSpec, als_run, build_test_matrix, run_suite, verify
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-config = SuiteConfig(sizes=((16, 24),), rank_deltas=((2, 1e-3),), iteration_counts=(0, 1), seeds=(0,))
-records, summary = run_suite(config)
-assert len(records) == 2 and not summary["failures"], summary
-als_run(np.random.default_rng(0).standard_normal((12, 9)), AlsConfig(rank_k=2, iterations_j=1, seed=0))
-assert all(result.passed for result in verify.run_all())
-before = scipy_modules()
-build_test_matrix(TestMatrixSpec(16, 24, 2, 1e-3, transform="real_orthogonal"))
-records, summary = run_suite(dataclasses.replace(config, transform="real_orthogonal"))
-assert len(records) == 2 and not summary["failures"], summary
-print(json.dumps([before, scipy_modules()]))
-"""
-
-
-def test_only_real_test_matrices_load_scipy_fft():
-    # scipy.fft takes about 0.1 s to import, which every DFT run would pay
-    # if testmat imported it at module level.  It brings no scipy.linalg,
-    # which the package never needs.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", FFT_IMPORT], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    before, after = json.loads(proc.stdout)
-    assert before == [] and "scipy.fft" in after
-    assert not [m for m in after if m == "scipy.linalg" or m.startswith("scipy.linalg.")]

@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every private helper
 of the package is used, the package imports nothing private from another
-package, and it catches every exception in one place only.
+package, it catches every exception in one place only, and its declared
+dependencies are the packages it imports.
 
 Stdlib-only lints.  The first runs over src/lowrank_als (except __init__.py,
 which imports to re-export), tests/ and demos/: an import counts as used
@@ -13,10 +14,14 @@ import names a module or name with a dotted-path part that starts with an
 underscore.  The fourth runs over src/lowrank_als: the one broad except
 clause (no type, or Exception or BaseException, alone or in a tuple) is the
 one in bench.run_suite that records a failed test matrix and goes on with
-the next.
+the next.  The fifth runs over src/lowrank_als: the top-level modules its
+absolute imports name, less the standard library, are the names in
+pyproject.toml's [project] dependencies.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,6 +80,17 @@ def private_imports(source: str) -> list[str]:
     return sorted(p for p in paths if any(part.startswith("_") for part in p.split(".")))
 
 
+def third_party_imports(source: str) -> set[str]:
+    """The top-level modules that ``source`` imports absolutely, less the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
 def broad_handlers(source: str) -> list[str]:
     """The qualified name of the function or class (``<module>`` at top level)
     around each except clause in ``source`` whose type is omitted, or is
@@ -119,6 +135,26 @@ def test_checker_finds_private_imports():
         "os._x",
         "scipy.sparse.linalg._interface.MatrixLinearOperator",
     ]
+
+
+def test_checker_finds_third_party_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from scipy.linalg import qr\n"
+        "from . import local\n"
+        "from .sibling import name\n"
+    )
+    assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group() for requirement in project["dependencies"]}
+    imported = set().union(*(third_party_imports(path.read_text()) for path in SRC_FILES))
+    assert imported == declared == {"numpy"}
 
 
 def test_checker_finds_dead_helpers():
