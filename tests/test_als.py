@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -384,10 +385,12 @@ def _count_norms(monkeypatch):
     return calls
 
 
-def _tracked_half_steps(a, k, j):
+def _tracked_half_steps(a, k, j, start=None):
     """Each tracked residual next to its dense oracle ||left @ right - a||_F,
-    and the final state."""
+    and the final state; ``start``, if given, replaces the sketch's S_0."""
     state = als_init(a, AlsConfig(rank_k=k, iterations_j=j, seed=50, track_errors=True), (50,))
+    if start is not None:
+        state.s = start
     oracles = []
     for i in range(j + 1):
         if i:
@@ -471,6 +474,118 @@ class TestTrackingMemory:
         fact = als_run(self.A, AlsConfig(rank_k=3, iterations_j=2, seed=63))
         peak = _traced_peak(lambda: approximation_error(self.A, fact, "frobenius"))
         assert peak <= self.LIMIT
+
+
+def _direct_half_steps(a, k, j, seed):
+    """Each tracked entry of a run next to the direct blocked residual of
+    that half-step's factors."""
+    state = als_init(a, AlsConfig(rank_k=k, iterations_j=j, seed=seed, track_errors=True), (seed,))
+    direct = []
+    for i in range(j + 1):
+        if i:
+            q = orthonormal_basis(state.t.conj().T)
+            als_update_s(state)
+            direct.append(als._residual_norm(a, a @ q, q.conj().T))
+        als_update_t(state)
+        direct.append(als._residual_norm(a, state.s, state.t))
+    return state.error_trace, direct
+
+
+def _count_residuals(monkeypatch):
+    """Count the direct residuals the als module takes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return residual_norm(*args)
+
+    residual_norm = als._residual_norm
+    monkeypatch.setattr(als, "_residual_norm", counted)
+    return calls
+
+
+# The bar of a downdated entry against its direct value.  The downdates since
+# a direct entry cancel at most a factor 4 (the fallback rule), so an entry
+# is off by at most 4 (1 + d) times the rounding of one direct residual or
+# removed norm, d <= 4 downdates at j = 2.  Allowing 5 eps ||A||_F for that
+# rounding gives 100 eps ||A||_F.
+DOWNDATE_BAR = 100 * np.finfo(float).eps
+
+
+class TestDowndatedTrace:
+    def test_stressed_start_matches_dense_oracle(self):
+        # A = g h + 1e-13 noise, k = 2, from an S_0 almost orthogonal to
+        # col(g): the first S-update removes all but about 1e-9 of the
+        # residual, the next T-update all but about 1e-4 of what is left.
+        # Downdated, the first is lost to cancellation (it reads about
+        # 20 times its direct value) and carries into the rest; the fallback
+        # takes both directly.
+        g = gaussian_matrix(600, 2, seed=70)
+        a = g @ gaussian_matrix(2, 300, seed=71) + 1e-13 * gaussian_matrix(600, 300, seed=72)
+        basis = orthonormal_basis(g)
+        w = gaussian_matrix(600, 2, seed=73)
+        start = orthonormal_basis(w - basis @ (basis.T @ w) + 1e-4 * basis)
+        trace, oracles, _ = _tracked_half_steps(a, 2, 2, start=start)
+        assert trace[1] <= 1e-8 * trace[0] and trace[2] <= 1e-3 * trace[1]
+        assert np.allclose(trace, oracles, rtol=0, atol=DOWNDATE_BAR * frobenius_norm(a))
+
+    @pytest.mark.parametrize("transform", ["dft", "real_orthogonal"])
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_small_delta_matches_direct_residual(self, transform, k):
+        # delta = 1e-11: the residual is about 1e-10 ||A||_F, so a cancelling
+        # downdate would show far above the bar.
+        a = build_test_matrix(TestMatrixSpec(512, 1024, k, 1e-11, transform=transform))
+        for seed in range(3):
+            trace, direct = _direct_half_steps(a, k, 2, seed)
+            assert np.allclose(trace, direct, rtol=0, atol=DOWNDATE_BAR * frobenius_norm(a))
+
+    @pytest.mark.parametrize("j", [0, 2, 5])
+    def test_one_direct_residual_per_run(self, monkeypatch, j):
+        # A Gaussian A: no half-step removes more than a small share of the
+        # residual, so every entry after the first is a downdate.
+        a = gaussian_matrix(300, 200, seed=74)
+        calls = _count_residuals(monkeypatch)
+        fact = als_run(a, AlsConfig(rank_k=5, iterations_j=j, seed=75, track_errors=True))
+        assert len(fact.frobenius_error_trace) == 2 * j + 1
+        assert calls == [(300, 200)]
+
+    @pytest.mark.parametrize("direct_error, direct_calls", [(1.0, 0), (5.0, 1)])
+    def test_fallback_counts_from_last_direct_entry(self, monkeypatch, direct_error, direct_calls):
+        # A downdate from 1 to 0.3: within a factor 4 of the entry before it,
+        # so it stands when that entry was direct, but not when the last
+        # direct entry was 5, whose downdates would then cancel a factor 16.
+        a = gaussian_matrix(6, 4, seed=78)
+        state = als_update_t(als_init(a, AlsConfig(rank_k=2, iterations_j=1, seed=79, track_errors=True), (79,)))
+        state.error_trace[-1], state.direct_error = 1.0, direct_error
+        calls = _count_residuals(monkeypatch)
+        als._track(state, math.sqrt(1 - 0.3**2), state.s, state.t)
+        assert len(calls) == direct_calls
+        want = 0.3 if direct_calls == 0 else frobenius_norm(state.s @ state.t - a)
+        assert state.error_trace[-1] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_tracked_state_holds_q_only(self, field):
+        # Between half-steps a tracked state holds what an untracked one
+        # does, plus the S-update's n-by-k Q and the trace's floats.
+        m, n, k = 700, 300, 4
+        a = gaussian_matrix(m, n, seed=76, field=field)
+
+        def held(track_errors):
+            state = als_init(a, AlsConfig(rank_k=k, iterations_j=2, seed=77, track_errors=track_errors), (77,))
+            tracemalloc.start()
+            try:
+                sizes = []
+                for step in (als_update_t, als_update_s, als_update_t, als_update_s, als_update_t):
+                    step(state)
+                    sizes.append(tracemalloc.get_traced_memory()[0])
+                return np.array(sizes), state
+            finally:
+                tracemalloc.stop()
+
+        untracked, _ = held(False)
+        tracked, state = held(True)
+        assert state.q is None
+        assert np.all(tracked - untracked <= n * k * a.itemsize + 1024)
 
 
 def _graded_matrix(field, tail):
@@ -603,6 +718,8 @@ class TestSerialization:
             pytest.param(lambda meta: {**meta, "error_trace": [float("inf")]}, id="trace_inf"),
             pytest.param(lambda meta: {**meta, "error_trace": [0.5]}, id="trace_too_short"),
             pytest.param(lambda meta: {**meta, "error_trace": [0.5, 0.4, 0.3, 0.2]}, id="trace_too_long"),
+            pytest.param(lambda meta: {**meta, "error_trace": [-1.0, 0.5, 0.25]}, id="trace_negative"),
+            pytest.param(lambda meta: {**meta, "error_trace": [1.0, 0.5, 10**400]}, id="trace_huge_int"),
         ],
     )
     def test_inconsistent_sidecar_rejected(self, tmp_path, edit):

@@ -44,8 +44,9 @@ def test_traced_pass_counts(spans, tmp_path):
     # Cells j=0 and j=2 of one seed share one trajectory of 5 half-steps; the
     # tracked run with j=1 takes 3.
     assert metrics["als.half_steps"] == 8
-    # One sketch per trajectory, one pass per half-step, one more per tracked
-    # half-step.
+    # One sketch per trajectory and one pass per half-step, plus, by the
+    # tracer's counting rule, one more per tracked half-step (the package
+    # makes one more per tracked run).
     assert metrics["als.passes_over_a"] == (1 + 5) + (1 + 2 * 3)
     # Both cells of the one matrix share one measurement of 100 power
     # iterations: 2 * 100 + 1 applies of the operator measured, which for
