@@ -27,32 +27,34 @@ state holds the seeds' blocks of rank_k columns side by side, so each
 half-step makes one product with A for all of them, and each seed's block is
 orthonormalized on its own.  A product of A with few columns runs far below
 BLAS speed: at 2048x4096 and k = 2, on one BLAS thread, five seeds' S* A
-take about 99 ms as five products and 23 ms as one, and their A Q 133 ms and
-38 ms.  als_run is the one-seed batch of config.seed; with several seeds
-each block differs from its standalone run only by rounding, because a
-wider product sums in another order.
+take about 80-89 ms as five products and 25 ms as one, and their A Q 72-78
+ms and 27-29 ms, although a single seed's A Q goes by row blocks
+(matrix.times) and the batch's does not.  als_run is the one-seed batch of
+config.seed; with several seeds each block differs from its standalone run
+only by rounding, because a wider product sums in another order.
 
 Error tracking (track_errors, one seed only) records ||S T - A||_F after
 every half-step, and a tracked run makes one extra pass over A: the first
 entry, after the sketch's T-update, is taken directly, by contiguous row
-blocks of at most BLOCK_BYTES, never as an m-by-n array.  Each later entry
-is the one before it downdated by Pythagoras, at O((m + n) k^2) cost.  An
-S-update's residual is R_S = R_T (I - Q Q*), R_T the residual before it, so
-it removes R_T Q = A Q - S (T Q); a T-update's is (I - S S*) R_S, so it
-removes S* R_S = T - (T Q) Q*, with S and T the new factors and Q the basis
-of the S-update before.  With r the entry before and x the norm removed, the
-entry is r sqrt((1 - y)(1 + y)), y = min(x / r, 1), which neither overflows
-nor underflows where r and x do not.  A downdate that lands below 1/4 of the
-last direct entry is replaced by a direct one: the downdates since a direct
-entry then cancel at most a factor 4, so each entry is within 4 (1 + d)
-times the rounding of one direct residual or removed norm (a few eps ||A||_F
-each) of its direct value, d the downdates since the direct entry.  That
-rule also catches the half-step that removes almost all of the residual.  At
-2048x1024, k = 10, on one BLAS thread of a 2-core x86-64 host, a direct
-entry took a median 2.3 ms and a removed norm 0.02-0.06 ms, and a tracked
-run of j = 2 took 15.1 ms against 24.4 ms with every entry direct (12.6 ms
-untracked).  Measured against the direct form at delta = 1e-11, entries
-were within 0.14 eps ||A||_F.  The untracked iteration does not change.
+blocks of at most BLOCK_BYTES (matrix.times's budget), never as an m-by-n
+array.  Each later entry is the one before it downdated by Pythagoras, at
+O((m + n) k^2) cost.  An S-update's residual is R_S = R_T (I - Q Q*), R_T
+the residual before it, so it removes R_T Q = A Q - S (T Q); a T-update's is
+(I - S S*) R_S, so it removes S* R_S = T - (T Q) Q*, with S and T the new
+factors and Q the basis of the S-update before.  With r the entry before and
+x the norm removed, the entry is r sqrt((1 - y)(1 + y)), y = min(x / r, 1),
+which neither overflows nor underflows where r and x do not.  A downdate
+that lands below 1/4 of the last direct entry is replaced by a direct one:
+the downdates since a direct entry then cancel at most a factor 4, so each
+entry is within 4 (1 + d) times the rounding of one direct residual or
+removed norm (a few eps ||A||_F each) of its direct value, d the downdates
+since the direct entry.  That rule also catches the half-step that removes
+almost all of the residual.  At 2048x1024, k = 10, on one BLAS thread of a
+2-core x86-64 host, a direct entry took a median 2.3 ms and a removed norm
+0.02-0.06 ms, and a tracked run of j = 2 took 15.1 ms against 24.4 ms with
+every entry direct (12.6 ms untracked).  Measured against the direct form at
+delta = 1e-11, entries were within 0.14 eps ||A||_F.  The untracked
+iteration does not change.
 """
 
 from __future__ import annotations
@@ -66,12 +68,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .matrix import as_matrix, frobenius_norm, gaussian_matrix, orthonormal_basis, times
+from .matrix import BLOCK_BYTES, as_matrix, frobenius_norm, gaussian_matrix, orthonormal_basis, times
 from .spectral import power_method_norm
-
-# Bytes of the one row block of a tracked residual that exists at a time:
-# small enough to stay in cache while it is formed, reduced and reused.
-BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,8 @@ def _residual_norm(a, left, right) -> float:
     """||left @ right - a||_F without an m-by-n temporary.
 
     The residual is formed by contiguous row blocks of the C-ordered ``a``,
-    BLOCK_BYTES each (at least one row), in one reused buffer.  The result is
+    BLOCK_BYTES each (at least one row), in one reused buffer: the budget
+    of matrix.times's row blocks, so it stays in cache.  The result is
     the frobenius_norm of the blocks' frobenius_norms, so it is right at
     every scale where frobenius_norm is.
     """

@@ -22,7 +22,7 @@ from lowrank_als.als import (
     save_factorization,
 )
 from lowrank_als.io import save_matrix
-from lowrank_als.matrix import frobenius_norm, gaussian_matrix, orthonormal_basis
+from lowrank_als.matrix import BLOCK_BYTES, frobenius_norm, gaussian_matrix, orthonormal_basis
 from lowrank_als.testmat import TestMatrixSpec, build_test_matrix
 from lowrank_als.verify import projector
 
@@ -364,11 +364,17 @@ class TestApproximationError:
 
 
 # Shapes whose residuals take several row blocks of BLOCK_BYTES, the last one
-# ragged: 4096 + 904 rows (real), 2048 + 2048 + 904 rows (complex), and rows
-# too long for a block, one row each.
+# ragged: with R = BLOCK_BYTES // 128 rows of 8 complex entries to a block,
+# 2.5 R rows are 2R + R/2 (real) and R + R + R/2 (complex); and rows too long
+# for a block, one row each.
+_ROWS = BLOCK_BYTES // 128
 BLOCKED_INPUTS = pytest.mark.parametrize(
     "shape, field, blocks",
-    [((5000, 8), "real", 2), ((5000, 8), "complex", 3), ((3, 40000), "real", 3)],
+    [
+        ((5 * _ROWS // 2, 8), "real", 2),
+        ((5 * _ROWS // 2, 8), "complex", 3),
+        ((3, BLOCK_BYTES // 8 + 1), "real", 3),
+    ],
     ids=["real", "complex", "one_row_blocks"],
 )
 
@@ -437,8 +443,9 @@ class TestBlockedResidual:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("exponent", [300, -300])
     def test_tracked_trace_scale_safe(self, field, exponent):
-        # 600x80: 409 + 191 rows (real), 204 + 204 + 192 (complex).
-        base = gaussian_matrix(600, 80, seed=59, field=field)
+        # 600 rows of 5 BLOCK_BYTES / 16384 entries (160 at 512 KiB): 409 +
+        # 191 rows (real), 204 + 204 + 192 (complex).
+        base = gaussian_matrix(600, 5 * BLOCK_BYTES // 16384, seed=59, field=field)
         c = 10.0**exponent
         cfg = AlsConfig(rank_k=3, iterations_j=2, seed=60, track_errors=True)
         trace = np.array(als_run(c * base, cfg).frobenius_error_trace)
@@ -458,7 +465,7 @@ def _traced_peak(fn):
 
 
 class TestTrackingMemory:
-    # A of 4 MiB: one 256 KiB block is a.nbytes / 16, and a single m-by-n
+    # A of 4 MiB: one 512 KiB block is a.nbytes / 8, and a single m-by-n
     # temporary is a.nbytes.  as_matrix's bool isfinite array is a.nbytes / 8.
     A = gaussian_matrix(1024, 512, seed=61)
     LIMIT = A.nbytes / 4

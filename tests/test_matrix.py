@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
+from lowrank_als import matrix
 from lowrank_als.matrix import (
+    BLOCK_BYTES,
     as_matrix,
     frobenius_norm,
     gaussian_matrix,
     orthonormal_basis,
+    times,
 )
 
 
@@ -160,3 +163,80 @@ class TestRankHelpers:
         m[2, 1] = bad
         with pytest.raises(ValueError, match="^the matrix to orthonormalize contains non-finite entries$"):
             orthonormal_basis(m)
+
+
+def _integer_matrix(rows, cols, seed, field):
+    """Entries 1, 2 or 3 (plus i, 2i or 3i when complex): every product and
+    sum that times forms is an integer below 2**53, so exact in any order,
+    and every entry of A V has a nonzero real or imaginary part."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(1, 4, (rows, cols)).astype(np.float64)
+    return x + 1j * rng.integers(1, 4, (rows, cols)) if field == "complex" else x
+
+
+def _block_rows(monkeypatch):
+    """The rows of A in each BLAS call that matrix.times makes."""
+    rows = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(x, y, out):
+            rows.append(y.shape[1])
+            return np.matmul(x, y, out=out)
+
+    monkeypatch.setattr(matrix, "np", CountingNumpy())
+    return rows
+
+
+ITEMSIZE = {"real": 8, "complex": 16}
+
+
+class TestBlockedProduct:
+    """times walks A by row blocks of BLOCK_BYTES while V is at most a
+    quarter of BLOCK_BYTES, and takes A whole otherwise; its result equals
+    a @ v bit for bit on exact inputs, column-major, in A's dtype."""
+
+    def _check(self, monkeypatch, m, n, k, field, order, want_rows):
+        a = _integer_matrix(m, n, 1, field)
+        v = np.asarray(_integer_matrix(n, k, 2, field), order=order)
+        rows = _block_rows(monkeypatch)
+        got = times(a, v)
+        assert rows == want_rows
+        assert got.shape == (m, k) and got.dtype == a.dtype and got.flags.f_contiguous
+        assert np.array_equal(got, a @ v)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("extra", [0, 3], ids=["even", "ragged"])
+    def test_several_blocks(self, monkeypatch, field, order, extra):
+        r = BLOCK_BYTES // (64 * ITEMSIZE[field])  # rows of 64 entries to a block
+        self._check(monkeypatch, 2 * r + extra, 64, 2, field, order, [r, r] + [extra] * (extra > 0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_below_one_block(self, monkeypatch, field, order):
+        m = BLOCK_BYTES // (64 * ITEMSIZE[field]) - 1
+        self._check(monkeypatch, m, 64, 2, field, order, [m])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("surplus, whole", [(0, False), (1, True)], ids=["quarter", "wider"])
+    def test_wide_v_takes_a_whole(self, monkeypatch, field, surplus, whole):
+        # A V with V of exactly a quarter of BLOCK_BYTES is still walked by blocks;
+        # one column more takes A in one call.
+        r = BLOCK_BYTES // (64 * ITEMSIZE[field])
+        k = r // 4 + surplus
+        self._check(monkeypatch, 2 * r + 3, 64, k, field, "F", [2 * r + 3] if whole else [r, r, 3])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_row_longer_than_budget(self, monkeypatch, field):
+        # Then V is wider than the budget too, and A is taken whole.
+        n = BLOCK_BYTES // ITEMSIZE[field] + 1
+        self._check(monkeypatch, 3, n, 1, field, "F", [3])
+
+    def test_empty_v(self, monkeypatch):
+        # No columns, and rows longer than the budget: one-row blocks.
+        n = BLOCK_BYTES // 8 + 1
+        self._check(monkeypatch, 3, n, 0, "real", "F", [1, 1, 1])
