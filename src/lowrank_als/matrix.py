@@ -79,7 +79,10 @@ def frobenius_norm(a) -> float:
         return math.sqrt(total)
     x = np.abs(np.asarray(a)).reshape(-1)
     scale = x.max(initial=0.0)  # 0 for zero entries, nan or inf for non-finite ones
-    return float(scale * np.sqrt(np.dot(x / scale, x / scale)) if 0.0 < scale < math.inf else scale)
+    if not 0.0 < scale < math.inf:
+        return float(scale)
+    x = x / scale
+    return float(scale * np.sqrt(np.dot(x, x)))
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int, field: str = "real") -> np.ndarray:

@@ -2,7 +2,8 @@
 
 An operator is a 2-d numpy array (not a masked one), applied by row blocks as
 stored, or a ColumnDiagonal, applied by elementwise row products; anything
-else raises TypeError.  Iterates are normalized as frobenius_norm measures.
+else raises TypeError.  Each iterate row is divided by its norm, as
+frobenius_norm measures it, through the real view in either field.
 """
 
 from __future__ import annotations
@@ -52,13 +53,15 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     """Estimate the spectral norm of ``op`` by power iteration on op* op.
 
     Starts from v = ``start`` normalized, an n-vector or n-by-1 array that
-    is finite and nonzero (``ValueError`` otherwise); the default is
-    gaussian_matrix(n, 1, DEFAULT_POWER_SEED, field) in the field of the
-    operator and the pairs.  Runs ``n_iters`` steps of u <- normalize(op v),
-    v <- normalize(op* u), then returns ||op v|| for the final unit v.
-    Normalizing after each apply keeps every iterate a unit vector, so the
-    estimate neither underflows nor overflows for any finite scale of the
-    operator.  The estimate is a Rayleigh-quotient-type lower bound: it never
+    is finite and nonzero (``ValueError`` otherwise), taken in float64 or
+    complex128; the default is gaussian_matrix(n, 1, DEFAULT_POWER_SEED,
+    field) in the field of the operator and the pairs.  Runs ``n_iters``
+    steps of u <- normalize(op v), v <- normalize(op* u), then returns
+    ||op v|| for the final unit v.  normalize divides each entry of the
+    real view of a row by the row's norm, one rounding per entry in either
+    field.  Normalizing after each apply keeps every iterate a unit vector,
+    so the estimate neither underflows nor overflows for any finite scale of
+    the operator.  The estimate is a Rayleigh-quotient-type lower bound: it never
     exceeds the true norm beyond rounding.  Returns 0 if the operator
     annihilates an iterate.
 
@@ -138,29 +141,24 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         v = np.asarray(start)
         if v.shape not in ((n,), (n, 1)):
             raise ValueError(f"start of shape {v.shape} does not fit a {m}x{n} operator")
-        v = v.reshape(n, 1)
         if not np.all(np.isfinite(v)):
             raise ValueError("start contains non-finite entries")
         if not np.any(v):
             raise ValueError("start is zero")
-    v = np.repeat((v / frobenius_norm(v)).reshape(1, n), c, axis=0)
+    # In float64 or complex128 and C-ordered, so that its real view holds floats.
+    v = np.ascontiguousarray(v.reshape(1, n), np.result_type(v, np.float64))
 
     def normalize(x):
-        # A row the operator annihilates stays exactly zero (its norm taken
-        # as 1), so its final estimate is 0 and the other rows are unaffected.
-        # A one-row block, as of a standalone call, is scaled by a scalar.
-        norms = (frobenius_norm(x) or 1.0) if c == 1 else _row_norms(x)[:, None]
-        if not np.iscomplexobj(x):
-            return x / norms
-        # A complex row is divided through its real view only where 1 / d is
-        # not finite (never for d >= 2**-1022); elsewhere it is multiplied by
-        # 1 / d, the bits of numpy's complex division by d + 0j up to a zero's
-        # sign, in half the time.  A real x * (1 / d) would round twice.
-        if np.all(norms >= 2.0**-1022):
-            return x * (1.0 / norms)
-        with np.errstate(over="ignore"):
-            inverse = 1.0 / norms
-        return np.where(np.isfinite(inverse), x * inverse, (x.view(x.real.dtype) / norms).view(x.dtype))
+        # Every row is divided by its norm through the real view: one
+        # rounding per entry in either field, where numpy's complex division
+        # by a real d, taken as d + 0j, is slower and overflows for a
+        # subnormal d.  A row the operator annihilates stays exactly zero
+        # (its norm taken as 1), so its final estimate is 0 and the other
+        # rows are unaffected.  A one-row block is divided by a scalar norm.
+        norms = (frobenius_norm(x) or 1.0) if len(x) == 1 else _row_norms(x)[:, None]
+        return (x.view(x.real.dtype) / norms).view(x.dtype)
+
+    v = np.repeat(normalize(v), c, axis=0)
 
     for _ in range(n_iters):
         v = normalize(apply_adjoint(normalize(apply(v))))

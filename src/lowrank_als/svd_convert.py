@@ -33,15 +33,9 @@ def factorization_to_svd(s, t) -> SvdTriplet:
 
 
 def _canonicalize_phases(u: np.ndarray, v: np.ndarray):
-    # Scales the columns of u and v in place: the one caller passes fresh arrays.
-    for col in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, col])))
-        pivot = u[idx, col]
-        mag = abs(pivot)
-        if mag == 0.0:
-            continue
-        # u sigma v* is invariant under (u, v) -> (u / phase, v / phase).
-        phase = pivot / mag
-        u[:, col] = u[:, col] / phase
-        v[:, col] = v[:, col] / phase
-    return u, v
+    # u sigma v* is invariant under (u, v) -> (u / phase, v / phase).  Each
+    # column of u = Q U~ is a unit vector, so its largest entry has magnitude
+    # at least 1 / sqrt(m) and a phase.
+    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    phases = pivots / np.abs(pivots)
+    return u / phases, v / phases

@@ -91,6 +91,20 @@ class TestNonFinite:
             power_method_norm(a, minus=[generic, nan_pair])
 
 
+def _recorded_iterates(a, start):
+    """The 3-step estimate of ``a`` from ``start``, and the iterate block
+    that each of its 7 matmuls took as left operand."""
+    seen = []
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                seen.append(np.array(inputs[0]))
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    return power_method_norm(a.view(Recorded), n_iters=3, start=start), seen
+
+
 class TestPowerMethodNorm:
     def test_diagonal(self):
         est = power_method_norm(np.diag([3.0, 1.0]), n_iters=100, start=gaussian_matrix(2, 1, 0))
@@ -111,18 +125,16 @@ class TestPowerMethodNorm:
         # a correctly rounded x / ||x|| maps to e_1 exactly; 49 * (1 / 49) is
         # not 1, so a real row multiplied by its reciprocal norm shows in the
         # iterates, though not in the final estimate.
-        seen = []
-
-        class Recorded(np.ndarray):
-            # Logs the left operand, the iterate block, of every matmul.
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    seen.append(np.array(inputs[0]))
-                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-        op = np.diag([49.0, 0.5]).view(Recorded)
-        assert power_method_norm(op, n_iters=3, start=np.array([1.0, 0.0])) == 49.0
+        estimate, seen = _recorded_iterates(np.diag([49.0, 0.5]), np.array([1.0, 0.0]))
+        assert estimate == 49.0
         assert len(seen) == 7 and all(np.array_equal(x, [[1.0, 0.0]]) for x in seen)
+
+    def test_complex_rows_are_divided(self):
+        # The complex twin: rows are divided through their real view, so
+        # every iterate is e_1 again.
+        estimate, seen = _recorded_iterates(np.diag([49.0, 0.5]).astype(complex), np.array([1.0 + 0j, 0.0]))
+        assert estimate == 49.0
+        assert len(seen) == 7 and all(x.dtype == complex and np.array_equal(x, [[1.0, 0.0]]) for x in seen)
 
     def test_identity(self):
         est = power_method_norm(np.eye(5), n_iters=100, start=gaussian_matrix(5, 1, 0))
@@ -191,26 +203,15 @@ class TestPowerMethodNorm:
 
 
 class TestComplexNormalization:
-    """The power method multiplies complex rows by 1 / norm in place of
-    dividing them by norm; numpy's complex division by a real d + 0j makes
-    exactly that product, so the estimates keep their bits.  A numpy whose
-    complex division changes fails here instead of moving every epsilon."""
-
-    @pytest.mark.parametrize("relative_scale", [1e-6, 1.0, 1e6])
-    def test_reciprocal_product_equals_quotient(self, relative_scale):
-        # Rows of about the size of their norms, as the iterates are, and
-        # the guard value 1.0 taken for a zero row.
-        norms = np.concatenate([np.logspace(-300, 300, 121), 2.0 ** np.arange(-996, 997, 83), [1.0]])
-        x = gaussian_matrix(norms.size, 64, seed=60, field="complex") * (relative_scale * norms[:, None])
-        x[:, :2] = [0.0, -0.0]  # a real entry and a signed zero
-        quotient = x / norms[:, None]
-        assert np.all(np.isfinite(quotient)) and np.all(quotient[:, 2:] != 0.0)
-        assert np.array_equal(x * (1.0 / norms[:, None]), quotient)
+    """Complex rows are divided by their norms through the real view, as
+    real rows are: one rounding per entry at every scale, where numpy's
+    complex division by a real d, taken as d + 0j, overflows for a
+    subnormal d."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_subnormal_operator(self, field):
         # Iterates of norm below 2**-1024, whose 1 / norm overflows, are
-        # divided instead: the estimates scale with the operator.
+        # divided as all others are: the estimates scale with the operator.
         a = gaussian_matrix(6, 4, 1, field)
         pairs = [(gaussian_matrix(6, 2, seed, field), gaussian_matrix(2, 4, seed + 1, field)) for seed in (2, 4)]
         assert power_method_norm(1e-310 * a) == pytest.approx(1e-310 * power_method_norm(a), rel=1e-10, abs=0)
@@ -219,9 +220,9 @@ class TestComplexNormalization:
         assert power_method_norm(1e-310 * a, minus=tiny) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_normal_row_beside_a_subnormal_one(self):
-        # Only the row whose 1 / norm overflows is divided: the other row of
-        # the block is multiplied, to the bit, as in a block of normal rows.
-        # Division rounds differently in some of these instances, not all.
+        # Each row is divided by its own norm: beside a row whose 1 / norm
+        # overflows, the normal row is divided, to the bit, as in a block of
+        # normal rows.
         for seed in range(0, 30, 3):
             a = 1e-310 * gaussian_matrix(6, 4, seed, "complex")
             s, t = gaussian_matrix(6, 2, seed + 1, "complex"), gaussian_matrix(2, 4, seed + 2, "complex")
@@ -275,6 +276,46 @@ class TestStart:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             power_method_norm(gaussian_matrix(7, 5, seed=50), start=np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_integer_start(self, field):
+        # Taken in float64: the real view of an int64 start holds no floats.
+        # Two steps, as 100 converge from almost any start.
+        a = gaussian_matrix(7, 5, seed=53, field=field)
+        v = np.array([3, -1, 4, 1, -5])
+        assert power_method_norm(a, 2, v) == power_method_norm(a, 2, v.astype(np.float64))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_float32_start(self, field):
+        a = gaussian_matrix(7, 5, seed=54, field=field)
+        v = gaussian_matrix(5, 1, seed=55, field=field).astype(np.complex64 if field == "complex" else np.float32)
+        assert power_method_norm(a, 2, v) == power_method_norm(a, 2, v.astype(a.dtype))
+
+    def test_float32_operand(self):
+        # The iterates are float64, not float32: the estimate is that of the
+        # float64 copy to rounding.  Bit equality is not asked for, since
+        # numpy's mixed-type matmul copies A^T to C order and sums in
+        # another order.
+        a = gaussian_matrix(30, 20, seed=56).astype(np.float32)
+        v = gaussian_matrix(20, 1, seed=57).astype(np.float32)
+        want = power_method_norm(a.astype(np.float64), start=v.astype(np.float64))
+        assert power_method_norm(a, start=v) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_strided_start(self, field):
+        a = gaussian_matrix(7, 5, seed=58, field=field)
+        pair = (gaussian_matrix(7, 2, seed=59, field=field), gaussian_matrix(2, 5, seed=60, field=field))
+        v = gaussian_matrix(5, 3, seed=61, field=field)[:, 1:2]
+        dense = np.ascontiguousarray(v)
+        assert power_method_norm(a, start=v) == power_method_norm(a, start=dense)
+        assert power_method_norm(a, start=v, minus=[pair, pair]) == power_method_norm(a, start=dense, minus=[pair, pair])
+
+    def test_huge_start(self):
+        # The start is normalized before the first apply, which would
+        # otherwise overflow.
+        a = 1e20 * gaussian_matrix(7, 5, seed=62)
+        v = gaussian_matrix(5, 1, seed=63)
+        assert power_method_norm(a, start=1e300 * v) == pytest.approx(power_method_norm(a, start=v), rel=1e-14)
 
 
 class TestSharedMeasurement:
