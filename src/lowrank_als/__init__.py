@@ -10,9 +10,9 @@ from .als import (
 )
 from .bench import ExperimentRecord, SuiteConfig, run_suite
 from .io import load_matrix, save_matrix
-from .matrix import SvdTriplet, frobenius_norm, gaussian_matrix
+from .matrix import frobenius_norm, gaussian_matrix
 from .spectral import DEFAULT_POWER_SEED, power_method_norm
-from .svd_convert import factorization_to_svd
+from .svd_convert import SvdTriplet, factorization_to_svd
 from .testmat import TestMatrixSpec, build_test_matrix, sigma_spectrum
 
 __version__ = "0.1.0"

@@ -26,10 +26,10 @@ Several random starts of one matrix run as one batch (als_trajectories): the
 state holds the seeds' blocks of rank_k columns side by side, so each
 half-step makes one product with A for all of them, and each seed's block is
 orthonormalized on its own.  A product of A with few columns runs far below
-BLAS speed: at 2048x4096 and k = 2, on one BLAS thread, five seeds' S* A
-take about 80-89 ms as five products and 25 ms as one, and their A Q 72-78
-ms and 27-29 ms, although a single seed's A Q goes by row blocks
-(matrix.times) and the batch's does not.  als_run is the one-seed batch of
+BLAS speed, so one product for the batch takes a fraction of the time of
+one per seed, although a single seed's A Q goes by row blocks
+(matrix.times) and the batch's does not (timings in CHANGES.md, under "A V
+by cache-sized row blocks").  als_run is the one-seed batch of
 config.seed; with several seeds each block differs from its standalone run
 only by rounding, because a wider product sums in another order.
 
@@ -49,12 +49,11 @@ the downdates since a direct entry then cancel at most a factor 4, so each
 entry is within 4 (1 + d) times the rounding of one direct residual or
 removed norm (a few eps ||A||_F each) of its direct value, d the downdates
 since the direct entry.  That rule also catches the half-step that removes
-almost all of the residual.  At 2048x1024, k = 10, on one BLAS thread of a
-2-core x86-64 host, a direct entry took a median 2.3 ms and a removed norm
-0.02-0.06 ms, and a tracked run of j = 2 took 15.1 ms against 24.4 ms with
-every entry direct (12.6 ms untracked).  Measured against the direct form at
-delta = 1e-11, entries were within 0.14 eps ||A||_F.  The untracked
-iteration does not change.
+almost all of the residual.  So a tracked run costs about one pass over A
+more than an untracked one (timings in CHANGES.md, under "Tracked ALS
+reads A once").  Measured against the direct form at delta = 1e-11,
+entries were within 0.14 eps ||A||_F.  The untracked iteration does not
+change.
 """
 
 from __future__ import annotations

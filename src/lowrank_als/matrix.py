@@ -1,5 +1,5 @@
-"""Dense matrix kernels: validation, the product A V, norm, sampling,
-orthonormal bases, and the SvdTriplet that factorization_to_svd returns.
+"""Dense matrix kernels: validation, the product A V, norms, sampling and
+orthonormal bases.
 
 as_matrix validates a matrix once, where it enters the package: als_run,
 approximation_error, factorization_to_svd and the io readers and writers
@@ -9,12 +9,15 @@ routines operate on plain numpy arrays (row-major, float64 or complex128)
 and add only what numpy lacks; callers use numpy directly for the rest
 (QR, rank, least squares, singular values, the adjoint ``x.conj().T`` and
 the product U* A).
+
+Every norm is frobenius_norm's or, row by row, row_norms'; both take a sum
+of squares again, the one way frobenius_norm states, when it is nan, inf or
+below _SQUARES_MIN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +57,8 @@ def times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     packed copies stay in cache.  Each call packs V again, so the walk reads
     V's bytes once per block, at most a quarter of A's in all; a wider V
     takes A whole.  Every entry sums over all n columns in one call either
-    way.  At 2048x4096 on one BLAS thread, two complex columns took 4-5 ms
-    less by blocks than as one call (13-20 ms against 17-25 ms, interleaved
-    runs), and ten took 2-5 ms more (30-35 ms against 25-33 ms).
+    way.  The timings behind the quarter are in CHANGES.md, under "A V by
+    cache-sized row blocks": narrow V gained by blocks, wide V lost.
     """
     m, n = a.shape
     rows = max(1, BLOCK_BYTES // (n * a.itemsize)) if 4 * v.nbytes <= BLOCK_BYTES else m
@@ -70,19 +72,43 @@ def frobenius_norm(a) -> float:
     """Frobenius norm (Euclidean norm for vectors), right at every scale
     where the norm itself is representable.
 
-    The square root of one BLAS dot of the entries with themselves, or, if
-    that is nan, inf or below _SQUARES_MIN, of the magnitudes divided by the
-    largest: a real division, as numpy's complex one by a subnormal overflows.
+    The square root of one BLAS dot of the entries, taken in float64 or
+    complex128, with themselves; a sum that is nan, inf or below
+    _SQUARES_MIN is taken again of the entries divided by 2^e, the power of
+    2 at or below the largest real or imaginary part, so that the largest
+    square lies in [1, 4).  The division runs
+    through the real view, so it is exact, and its quotients are the same at
+    every scale 2^p of ``a``: the norm of 2^p a is 2^p times that of a, bit
+    for bit, while both are exact and no square added to a sum in range
+    underflows.
     """
-    total = np.vdot(a, a).real
+    x = np.asarray(a)
+    x = np.ascontiguousarray(x, complex if x.dtype.kind == "c" else float)
+    total = np.vdot(x, x).real
     if _SQUARES_MIN <= total < math.inf:
         return math.sqrt(total)
-    x = np.abs(np.asarray(a)).reshape(-1)
-    scale = x.max(initial=0.0)  # 0 for zero entries, nan or inf for non-finite ones
-    if not 0.0 < scale < math.inf:
-        return float(scale)
-    x = x / scale
-    return float(scale * np.sqrt(np.dot(x, x)))
+    parts = x.view(np.float64)
+    top = float(np.max(np.abs(parts), initial=0.0))  # 0 for zero entries, nan or inf for non-finite ones
+    if not 0.0 < top < math.inf:
+        return top
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    # Viewed back, so that the dot sums in the order of the first try.
+    return scale * frobenius_norm((parts / scale).view(x.dtype))
+
+
+def row_norms(x) -> np.ndarray:
+    """Norms of the rows of the 2-d C-ordered float64/complex128 ``x``: one
+    batched row dot on the real view, and frobenius_norm for each row whose
+    sum frobenius_norm would take again.  A batched sum adds in another order
+    than frobenius_norm's dot, so a row's norm scales by 2^p bit for bit
+    only while its batched sum stays in range at both scales."""
+    flat = x.view(x.real.dtype)
+    with np.errstate(over="ignore"):  # an overflowed sum is retried below
+        sums = (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+    norms = np.sqrt(sums)
+    for i in np.flatnonzero(~((sums >= _SQUARES_MIN) & (sums < np.inf))):
+        norms[i] = frobenius_norm(x[i])
+    return norms
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int, field: str = "real") -> np.ndarray:
@@ -102,16 +128,6 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = "real") -> np.
         z = rng.standard_normal((rows, cols, 2))
         return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
     raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-
-
-@dataclass(frozen=True)
-class SvdTriplet:
-    """Singular value decomposition: u, v with orthonormal columns and sigma
-    nonnegative in descending order; the decomposed matrix is u @ diag(sigma) @ v*."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
 
 
 def orthonormal_basis(a) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 An operator is a 2-d numpy array (not a masked one), applied by row blocks as
 stored, or a ColumnDiagonal, applied by elementwise row products; anything
-else raises TypeError.  Each iterate row is divided by its norm, as
-frobenius_norm measures it, through the real view in either field.
+else raises TypeError.  Each iterate row is divided by its norm through the
+real view in either field; the norms are matrix.frobenius_norm's or
+matrix.row_norms'.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import _SQUARES_MIN, frobenius_norm, gaussian_matrix
+from .matrix import frobenius_norm, gaussian_matrix, row_norms
 
 # Start-vector seed for norm measurements, deliberately unrelated to any
 # factorization seed; pass another start vector per call when needed.
@@ -35,18 +36,6 @@ class ColumnDiagonal:
     @property
     def dtype(self) -> np.dtype:
         return self.d.dtype
-
-
-def _row_norms(x) -> np.ndarray:
-    """Norms of the rows of the C-ordered ``x``, 1 for a zero row: one batched row
-    dot on the real view, then frobenius_norm for each row whose sum it would retry."""
-    flat = x.view(x.real.dtype)
-    with np.errstate(over="ignore"):  # an overflowed sum is retried below
-        sums = (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
-    norms = np.sqrt(sums)
-    for i in np.flatnonzero(~((sums >= _SQUARES_MIN) & (sums < np.inf))):
-        norms[i] = frobenius_norm(x[i]) or 1.0
-    return norms
 
 
 def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
@@ -73,15 +62,18 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
     one pass over ``op`` for every pair.  Entry i equals the estimate of a
     standalone call on op - s_i t_i in exact arithmetic and differs from it
     only by rounding: a matrix-matrix product sums in another order than a
-    matrix-vector one.
+    matrix-vector one.  A plain or one-pair estimate for 2^p op (and 2^p s)
+    is 2^p times that for op, bit for bit, as frobenius_norm is; with more
+    pairs, only while each row's batched sum stays in range (row_norms).
 
     ``op`` is a ColumnDiagonal or a 2-d numpy array other than a masked
-    array; anything else raises ``TypeError``.  The iterates are the rows of one
-    C-ordered block.  A 2-d array A is applied as V A^T and (U* A)*, which
-    multiply the block into A as stored.  A ColumnDiagonal [diag(d); 0] is
-    applied as [V d, 0] and U[:, :r] d, elementwise products with no
-    transposes.  A non-finite entry of the operator or of a pair makes the
-    estimate non-finite, and any non-finite estimate raises ``ValueError``.
+    array, taken in float64 or complex128 on entry; anything else raises
+    ``TypeError``.  The iterates are the rows of one C-ordered block.  A 2-d
+    array A is applied as V A^T and (U* A)*, which multiply the block into A
+    as stored.  A ColumnDiagonal [diag(d); 0] is applied as [V d, 0] and
+    U[:, :r] d, elementwise products with no transposes.  A non-finite
+    entry of the operator or of a pair makes the estimate non-finite, and
+    any non-finite estimate raises ``ValueError``.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -97,6 +89,8 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
             return u[:, :r] * d
 
     elif isinstance(op, np.ndarray) and op.ndim == 2 and not isinstance(op, np.ma.MaskedArray):
+        # In float64 or complex128 once, as a mixed-type product would copy A^T at every apply.
+        op = np.asanyarray(op, np.result_type(op, np.float64))
 
         def forward(v):
             return v @ op.T
@@ -155,7 +149,11 @@ def power_method_norm(op, n_iters: int = 100, start=None, minus=()):
         # subnormal d.  A row the operator annihilates stays exactly zero
         # (its norm taken as 1), so its final estimate is 0 and the other
         # rows are unaffected.  A one-row block is divided by a scalar norm.
-        norms = (frobenius_norm(x) or 1.0) if len(x) == 1 else _row_norms(x)[:, None]
+        if len(x) == 1:
+            norms = frobenius_norm(x) or 1.0
+        else:
+            norms = row_norms(x)[:, None]
+            norms[norms == 0.0] = 1.0
         return (x.view(x.real.dtype) / norms).view(x.dtype)
 
     v = np.repeat(normalize(v), c, axis=0)

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .matrix import SvdTriplet, as_matrix
+from .matrix import as_matrix
+
+
+@dataclass(frozen=True)
+class SvdTriplet:
+    """Singular value decomposition: u, v with orthonormal columns and sigma
+    nonnegative in descending order; the decomposed matrix is u @ diag(sigma) @ v*."""
+
+    u: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
 
 
 def factorization_to_svd(s, t) -> SvdTriplet:

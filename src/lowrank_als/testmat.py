@@ -69,11 +69,12 @@ def _working_set_bytes(spec: TestMatrixSpec) -> int:
     """The bytes build_test_matrix(spec) needs at its peak: sigma, then the
     larger of the L-point FFT and [h, h] with the result, and 6 MiB.
 
-    numpy's FFT peaks at 9 L complex entries for an L with a large prime
-    factor, done by Bluestein's algorithm (measured at L = 519689 to 2081819),
-    and at 2-3 L otherwise; 10 L are counted.  The 6 MiB are mostly the
-    code pages of the loops a build runs: 3.3-3.9 MiB of peak-RSS growth in a
-    forked child at 14 shapes of either field (Linux x86-64, numpy 2.4).
+    numpy's FFT peaks near 9 L complex entries for an L with a large prime
+    factor, done by Bluestein's algorithm, and at 2-3 L otherwise; 10 L are
+    counted.  The 6 MiB are mostly the code pages of the loops a build runs,
+    measured as the peak-RSS growth of a forked child over its arrays.  The
+    measurements are in CHANGES.md, under "Real test matrices from numpy's
+    FFT" and the MENDED line on this function.
     """
     period = math.lcm(spec.m, spec.n)  # L
     result = spec.m * spec.n * (16 if spec.transform == "dft" else 8)

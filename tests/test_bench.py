@@ -405,8 +405,9 @@ class TestRealOrthogonalMeasurement:
 
     No near-optimality gate: a real j = 2 cell can sit above 1.05 delta, a
     property of the method without oversampling, not of the measurement.  At
-    k = 10, delta = 1e-3, 2 of 1000 cells at 512x1024 (ALS seeds 0-999) and
-    1 of 2000 at 128x256 (seeds 0-1999) do, up to 1.31 and 1.43 delta.
+    k = 10, delta = 1e-3, 3 of 1000 cells at 512x1024 (ALS seeds 0-999) and
+    5 of 2000 at 128x256 (seeds 0-1999) do, up to 1.18 and 1.27 delta, by
+    run_suite on the Hartley-built real family.
     """
 
     def test_matches_dense_measurement(self, real_cells):

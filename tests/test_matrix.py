@@ -120,6 +120,22 @@ class TestNormEdges:
         for value in (-3.0, 1e300, -1e-300, 2.0**-1070):
             assert frobenius_norm(np.array([value], dtype)) == abs(value)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_largest_finite(self, dtype):
+        # The retry divides by 2^1023, the power of 2 at or below the
+        # largest float; the next one up is not a float.
+        big = np.finfo(np.float64).max
+        assert frobenius_norm(np.array([big, -big / 2**60], dtype)) == big
+        assert frobenius_norm(np.array([big, big], dtype)) == math.inf
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision(self, dtype):
+        # Summed in float64: in float32 the squares of 1e-30 are 0, those of
+        # 1e-20 subnormal (and 2**-960 itself rounds to 0), those of 1e20 inf.
+        for value in (1e-30, 1e-20, 1e20):
+            x = np.full(4, value, dtype)
+            assert frobenius_norm(x) == 2 * float(x.real[0])
+
     def test_huge_beside_tiny(self):
         assert frobenius_norm([1e200, 1e-200, -1e-200]) == 1e200
         assert frobenius_norm([3e200, 1e-200, 4e200]) == pytest.approx(5e200, rel=1e-15)

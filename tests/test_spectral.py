@@ -292,14 +292,16 @@ class TestStart:
         assert power_method_norm(a, 2, v) == power_method_norm(a, 2, v.astype(a.dtype))
 
     def test_float32_operand(self):
-        # The iterates are float64, not float32: the estimate is that of the
-        # float64 copy to rounding.  Bit equality is not asked for, since
-        # numpy's mixed-type matmul copies A^T to C order and sums in
-        # another order.
-        a = gaussian_matrix(30, 20, seed=56).astype(np.float32)
+        # The operand is taken in float64 or complex128 once, on entry, so
+        # the estimate is that of its float64 copy, bit for bit, with or
+        # without pairs.
         v = gaussian_matrix(20, 1, seed=57).astype(np.float32)
-        want = power_method_norm(a.astype(np.float64), start=v.astype(np.float64))
-        assert power_method_norm(a, start=v) == pytest.approx(want, rel=1e-14, abs=0)
+        for field, single in (("real", np.float32), ("complex", np.complex64)):
+            a = gaussian_matrix(30, 20, seed=56, field=field).astype(single)
+            wide = a.astype(np.result_type(single, np.float64))
+            pair = (gaussian_matrix(30, 2, seed=58, field=field), gaussian_matrix(2, 20, seed=59, field=field))
+            assert power_method_norm(a, start=v) == power_method_norm(wide, start=v)
+            assert power_method_norm(a, minus=[pair, pair]) == power_method_norm(wide, minus=[pair, pair])
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_strided_start(self, field):
